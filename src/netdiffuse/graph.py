@@ -14,7 +14,6 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
     EdgeListParseError,
@@ -24,12 +23,15 @@ from .errors import (
 
 __all__ = [
     "Graph",
+    "decode_utf8",
     "load_edge_list",
     "load_edge_list_path",
     "serialize_edge_list",
     "largest_connected_component",
     "induced_subgraph",
     "bfs_distances",
+    "adjacency_csr",
+    "distance_summary",
     "all_pairs_distances",
     "diameter",
     "average_distance",
@@ -136,6 +138,15 @@ def graph_from_edges(pairs: Iterable[tuple[str, str]]) -> Graph:
     return _build(labels, edges)
 
 
+def decode_utf8(raw: bytes) -> str:
+    """UTF-8 text of ``raw``; EdgeListParseError names the first bad line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = raw.count(b"\n", 0, exc.start) + 1
+        raise EdgeListParseError("not valid UTF-8", line_number) from None
+
+
 def load_edge_list(source: IO[bytes] | IO[str]) -> Graph:
     """Parse a whitespace-separated edge-list stream into a Graph.
 
@@ -146,7 +157,7 @@ def load_edge_list(source: IO[bytes] | IO[str]) -> Graph:
     offending line number, or EmptyInputError if no edges survive.
     """
     raw = source.read()
-    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    text = decode_utf8(raw) if isinstance(raw, bytes) else raw
     pairs: list[tuple[str, str]] = []
     for line_number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -241,7 +252,8 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     return _build(labels, edges)
 
 
-def _adjacency_csr(g: Graph) -> csr_matrix:
+def adjacency_csr(g: Graph) -> csr_matrix:
+    """Boolean adjacency matrix; row v holds the neighbors of v."""
     n = g.node_count
     indptr = np.zeros(n + 1, dtype=np.int64)
     for v in range(n):
@@ -251,21 +263,57 @@ def _adjacency_csr(g: Graph) -> csr_matrix:
         dtype=np.int64,
         count=int(indptr[-1]),
     )
-    data = np.ones(len(indices), dtype=np.int8)
+    data = np.ones(len(indices), dtype=bool)
     return csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _bfs_levels(adjacency: csr_matrix) -> Iterator[tuple[int, np.ndarray]]:
+    """Level-synchronous breadth-first search from every node at once.
+
+    Yields ``(level, frontier)`` for levels 1, 2, ... while any pair is
+    newly reached: ``frontier[v, s]`` is True iff v is exactly ``level``
+    hops from s. ``adjacency`` is boolean: the product of boolean
+    matrices ORs over neighbors, so no neighbor count can overflow.
+    """
+    visited = np.eye(adjacency.shape[0], dtype=bool)
+    frontier = visited
+    level = 0
+    while True:
+        frontier = adjacency @ frontier
+        frontier &= ~visited
+        if not frontier.any():
+            return
+        level += 1
+        visited |= frontier
+        yield level, frontier
+
+
+def distance_summary(adjacency: csr_matrix) -> tuple[int, int, int]:
+    """(diameter, distance sum, pair count) over unordered connected pairs.
+
+    ``adjacency`` is a symmetric boolean adjacency matrix, as built by
+    ``adjacency_csr`` or sliced from one. Unreachable pairs are
+    left out of all three; the distance matrix is never built. The sum
+    and the count are exact integers, so ``sum / count`` is the correctly
+    rounded mean distance.
+    """
+    diameter = total = pairs = 0
+    for level, frontier in _bfs_levels(adjacency):
+        count = int(np.count_nonzero(frontier))
+        diameter = level
+        total += level * count
+        pairs += count
+    # Distances are symmetric: each unordered pair was reached twice.
+    return diameter, total // 2, pairs // 2
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Dense hop-count matrix with ``inf`` for unreachable pairs."""
-    if g.node_count == 0:
-        return np.zeros((0, 0))
-    if g.edge_count == 0:
-        out = np.full((g.node_count, g.node_count), np.inf)
-        np.fill_diagonal(out, 0.0)
-        return out
-    return shortest_path(
-        _adjacency_csr(g), method="D", directed=False, unweighted=True
-    )
+    out = np.full((g.node_count, g.node_count), np.inf)
+    np.fill_diagonal(out, 0.0)
+    for level, frontier in _bfs_levels(adjacency_csr(g)):
+        out[frontier] = level
+    return out
 
 
 def diameter(g: Graph) -> int:
@@ -276,8 +324,7 @@ def diameter(g: Graph) -> int:
     """
     if g.node_count == 0:
         raise UnknownNodeError("diameter of an empty graph is undefined")
-    dm = all_pairs_distances(g)
-    return int(dm[np.isfinite(dm)].max())
+    return distance_summary(adjacency_csr(g))[0]
 
 
 def average_distance(g: Graph) -> float:
@@ -288,12 +335,8 @@ def average_distance(g: Graph) -> float:
     """
     if g.node_count < 2:
         raise UnknownNodeError("average distance needs at least 2 nodes")
-    dm = all_pairs_distances(g)
-    upper = dm[np.triu_indices(g.node_count, k=1)]
-    finite = upper[np.isfinite(upper)]
-    if finite.size == 0:
-        return 0.0
-    return float(finite.mean())
+    _, total, pairs = distance_summary(adjacency_csr(g))
+    return total / pairs if pairs else 0.0
 
 
 def density(g: Graph) -> float:

@@ -20,7 +20,7 @@ from typing import IO
 from . import golden
 from .datasets import DATASET_NAMES, dataset_registry, load_dataset, require_datasets
 from .errors import ConfigError, GraphError, MissingSeedError, UnknownNodeError
-from .graph import Graph, largest_connected_component, load_edge_list_path
+from .graph import Graph, decode_utf8, largest_connected_component, load_edge_list_path
 from .metrics import (
     IterationMetrics,
     SpeedSummary,
@@ -160,13 +160,15 @@ def _run_model(
 
 
 def _mean_series(
-    traces: list[DiffusionTrace], metrics: list[list[IterationMetrics]]
+    traces: list[DiffusionTrace],
+    metrics: list[list[IterationMetrics]],
+    finals: list[IterationMetrics],
 ) -> tuple[list[dict[str, float]], list[int]]:
     """Per-iteration means across runs, terminal-value padded.
 
-    A run shorter than the longest one keeps its final state for the
-    missing iterations; its new-activation count is 0 there. Returns the
-    series and, per iteration, how many runs needed padding.
+    A run shorter than the longest one keeps its final state (``finals``)
+    for the missing iterations; its new-activation count is 0 there.
+    Returns the series and, per iteration, how many runs needed padding.
     """
     longest = max(len(rows) for rows in metrics)
     series: list[dict[str, float]] = []
@@ -175,12 +177,12 @@ def _mean_series(
     for t in range(longest):
         acc = dict.fromkeys(_MEAN_FIELDS, 0.0)
         pad_count = 0
-        for trace, rows in zip(traces, metrics):
+        for trace, rows, final in zip(traces, metrics, finals):
             if t < len(rows):
                 row = rows[t]
                 acc["new_active"] += len(trace.iterations[t].newly_active)
             else:
-                row = rows[-1]
+                row = final
                 pad_count += 1
             acc["cum_active"] += row.horizon_nodes
             acc["coverage"] += row.coverage
@@ -201,7 +203,12 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     summaries = [summarize_speed(t) for t in traces]
     result = ModelResult(config.model, traces, metrics, summaries)
     if config.runs > 1:
-        result.mean_series, result.padded_runs = _mean_series(traces, metrics)
+        # A run that activated nobody ends in its seed-only state.
+        finals = [
+            rows[-1] if rows else evaluate_trace(g, t, include_initial=True)[0]
+            for t, rows in zip(traces, metrics)
+        ]
+        result.mean_series, result.padded_runs = _mean_series(traces, metrics, finals)
     return ComparisonReport(
         dataset=config.dataset,
         seed_node=config.seed_node,
@@ -243,7 +250,10 @@ def write_report_csv(report: ComparisonReport, stream: IO[str]) -> None:
 def parse_seeds_file(path: Path | str) -> dict[str, str]:
     """Read `dataset=seed label` lines; '#' comments and blanks skipped."""
     seeds: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = decode_utf8(Path(path).read_bytes())
+    except GraphError as exc:
+        raise GraphError(f"seeds file {path}, {exc}") from None
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -3,9 +3,11 @@
 Each iteration's cumulative active set induces a subgraph, the diffusion
 horizon, and every reported quantity is a property of that horizon:
 coverage against the full graph, then diameter, average distance,
-density and average degree within it. Distance metrics skip
-disconnected pairs; a single-node horizon reports zeros across the
-board so pre-diffusion rows stay representable.
+density and average degree within it. Each horizon is sliced out of
+the parent graph's adjacency matrix, built once per trace, and its
+distances come from one breadth-first search from all of its nodes at
+once. Distance metrics skip disconnected pairs; a single-node horizon
+reports zeros across the board so pre-diffusion rows stay representable.
 """
 from __future__ import annotations
 
@@ -13,14 +15,10 @@ import csv
 from dataclasses import dataclass
 from typing import IO
 
-from .graph import (
-    Graph,
-    average_degree,
-    average_distance,
-    density,
-    diameter,
-    induced_subgraph,
-)
+import numpy as np
+from scipy.sparse import csr_matrix
+
+from .graph import Graph, adjacency_csr, distance_summary
 from .models import DiffusionTrace
 
 __all__ = [
@@ -67,21 +65,26 @@ class SpeedSummary:
     final_coverage: float
 
 
-def _horizon_metrics(g: Graph, iteration: int, members: set[int]) -> IterationMetrics:
-    horizon = induced_subgraph(g, members)
-    n = horizon.node_count
-    coverage = n / g.node_count
+def _horizon_metrics(
+    adjacency: csr_matrix, iteration: int, members: set[int]
+) -> IterationMetrics:
+    n = len(members)
+    coverage = n / adjacency.shape[0]
     if n == 1:
         return IterationMetrics(iteration, coverage, 1, 0, 0, 0.0, 0.0, 0.0)
+    idx = np.fromiter(members, dtype=np.intp, count=n)
+    horizon = adjacency[idx][:, idx]
+    edges = horizon.nnz // 2
+    diameter, total, pairs = distance_summary(horizon)
     return IterationMetrics(
         iteration=iteration,
         coverage=coverage,
         horizon_nodes=n,
-        horizon_edges=horizon.edge_count,
-        diameter=diameter(horizon),
-        avg_distance=average_distance(horizon),
-        density=density(horizon),
-        avg_degree=average_degree(horizon),
+        horizon_edges=edges,
+        diameter=diameter,
+        avg_distance=total / pairs if pairs else 0.0,
+        density=2.0 * edges / (n * (n - 1)),
+        avg_degree=2.0 * edges / n,
     )
 
 
@@ -93,13 +96,14 @@ def evaluate_trace(
     include_initial prepends an iteration-0 row for the seed-only state.
     Labels are resolved against g, so a trace from another graph raises.
     """
+    adjacency = adjacency_csr(g)
     members = {g.index(trace.seed)}
     rows: list[IterationMetrics] = []
     if include_initial:
-        rows.append(_horizon_metrics(g, 0, members))
+        rows.append(_horizon_metrics(adjacency, 0, members))
     for it in trace.iterations:
         members.update(g.index(label) for label in it.newly_active)
-        rows.append(_horizon_metrics(g, it.index, members))
+        rows.append(_horizon_metrics(adjacency, it.index, members))
     return rows
 
 

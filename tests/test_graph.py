@@ -104,6 +104,10 @@ class TestLoading:
         g = load_edge_list(io.BytesIO(b"a b\nb c\n"))
         assert g.edge_count == 2
 
+    def test_invalid_utf8_is_parse_error(self):
+        with pytest.raises(EdgeListParseError, match="line 2: not valid UTF-8"):
+            load_edge_list(io.BytesIO(b"a b\n\xff c\n"))
+
     def test_label_roundtrip(self):
         g = graph_from_text("a b\nb c")
         for v in range(g.node_count):

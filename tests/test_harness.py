@@ -21,6 +21,7 @@ from netdiffuse.harness import (
     run_experiment,
     write_report_csv,
 )
+from netdiffuse.metrics import evaluate_trace
 
 
 def write_graph(path, text):
@@ -103,6 +104,20 @@ class TestRunExperiment:
             len(t.iterations[-1].newly_active) for t in result.traces
         )
 
+    def test_run_that_activates_nobody_pads_with_seed_state(self, karate_path):
+        config = ExperimentConfig(karate_path, "ic", "2", ic_probability=0.05, runs=20)
+        report = run_experiment(config)
+        result = report.results["ic"]
+        assert any(not rows for rows in result.metrics)
+        seed_row = evaluate_trace(report.graph, result.traces[0], include_initial=True)[0]
+        finals = [rows[-1] if rows else seed_row for rows in result.metrics]
+        assert result.mean_series[-1]["cum_active"] == pytest.approx(
+            sum(row.horizon_nodes for row in finals) / len(finals)
+        )
+        assert result.mean_series[-1]["coverage"] == pytest.approx(
+            sum(row.coverage for row in finals) / len(finals)
+        )
+
     def test_report_rows_include_mean_block(self, karate_path):
         config = ExperimentConfig(karate_path, "si", "2", runs=2)
         report = run_experiment(config)
@@ -132,6 +147,12 @@ class TestSeedsFile:
         path = tmp_path / "seeds.txt"
         path.write_text("karat=2\n", encoding="utf-8")
         with pytest.raises(GraphError, match="unknown dataset"):
+            parse_seeds_file(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "seeds.txt"
+        path.write_bytes(b"karate=2\nlesmis=\xff\n")
+        with pytest.raises(GraphError, match="line 2: not valid UTF-8"):
             parse_seeds_file(path)
 
 
@@ -205,6 +226,29 @@ class TestCli:
         ) == 2
         err = capsys.readouterr().err
         assert "missing datasets" in err
+
+    def test_non_utf8_inputs_are_exit_2(self, tmp_path, capsys):
+        graph = tmp_path / "bad.txt"
+        graph.write_bytes(b"a b\n\xff c\n")
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_bytes(b"karate=\xff\n")
+        assert main(["run", "--graph", str(graph), "--model", "cns",
+                     "--seed-node", "a", "--out", "-"]) == 2
+        assert main(["tie-table", "--graph", str(graph), "--out", "-"]) == 2
+        assert main(["reproduce", "--data-dir", str(tmp_path), "--out-dir",
+                     str(tmp_path / "out"), "--seeds", str(seeds)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        assert all(line.startswith("netdiffuse: ") for line in err)
+
+    def test_runs_without_activations_exit_0(self, karate_path, tmp_path):
+        out = tmp_path / "ic.csv"
+        code = main(
+            ["run", "--graph", karate_path, "--model", "ic", "--ic-p", "0.05",
+             "--runs", "20", "--seed-node", "2", "--out", str(out)]
+        )
+        assert code == 0
+        assert any(line.startswith("karate,ic,mean,") for line in out.read_text().splitlines())
 
     def test_tie_table(self, karate_path, tmp_path):
         out = tmp_path / "ties.csv"

@@ -3,25 +3,45 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netdiffuse.errors import UnknownNodeError
-from netdiffuse.graph import graph_from_text, induced_subgraph
+from netdiffuse.graph import (
+    Graph,
+    adjacency_csr,
+    all_pairs_distances,
+    average_degree,
+    average_distance,
+    density,
+    diameter,
+    distance_summary,
+    graph_from_text,
+    induced_subgraph,
+)
 from netdiffuse.metrics import (
     METRICS_COLUMNS,
     evaluate_trace,
     metrics_cells,
     summarize_speed,
 )
-from netdiffuse.models import ModelParams, run_cns, run_ic, run_si
+from netdiffuse.models import (
+    DiffusionTrace,
+    ModelParams,
+    TraceIteration,
+    run_cns,
+    run_ic,
+    run_si,
+)
 
 from conftest import complete_graph, random_graphs
 
 
 def horizon_distance_oracle(g, members):
     """All finite pairwise distances inside the induced horizon, by a
-    dict-and-queue BFS that shares nothing with the scipy-backed path."""
+    dict-and-queue BFS that shares nothing with the sparse-matrix path."""
     members = sorted(members)
     adj = {
         v: [u for u in g.neighbors_of(v) if u in set(members)] for v in members
@@ -38,6 +58,89 @@ def horizon_distance_oracle(g, members):
                     queue.append(u)
         out.extend(d for node, d in dist.items() if node > src)
     return out
+
+
+def graph_on(n, edges):
+    adjacency = [[] for _ in range(n)]
+    for v, u in edges:
+        adjacency[v].append(u)
+        adjacency[u].append(v)
+    return Graph(
+        labels=tuple(str(v) for v in range(n)),
+        neighbors=tuple(tuple(sorted(ns)) for ns in adjacency),
+    )
+
+
+@st.composite
+def any_graphs(draw, max_nodes: int = 14):
+    """Any simple graph on 1..max_nodes nodes: isolated nodes, several
+    components and the empty edge set included."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    pairs = [(v, u) for v in range(n) for u in range(v + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_on(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+class TestDistanceKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(any_graphs())
+    @example(graph_on(1, []))
+    @example(graph_on(4, []))
+    @example(graph_on(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+    def test_matches_networkx_and_queue_bfs(self, g):
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph()
+        h.add_nodes_from(range(g.node_count))
+        h.add_edges_from(g.edges())
+        want = np.full((g.node_count, g.node_count), np.inf)
+        for s, lengths in nx.all_pairs_shortest_path_length(h):
+            for t, d in lengths.items():
+                want[s, t] = d
+        finite = [int(want[s, t]) for s, t in zip(*np.triu_indices(g.node_count, 1))
+                  if np.isfinite(want[s, t])]
+        assert sorted(finite) == sorted(horizon_distance_oracle(g, range(g.node_count)))
+
+        assert np.array_equal(all_pairs_distances(g), want)
+        summary = (max(finite, default=0), sum(finite), len(finite))
+        assert distance_summary(adjacency_csr(g)) == summary
+        assert diameter(g) == summary[0]
+        if g.node_count < 2:
+            with pytest.raises(UnknownNodeError):
+                average_distance(g)
+        elif finite:
+            # the exact integer ratio is the float mean over the pairs
+            assert average_distance(g) == float(np.mean(np.array(finite, dtype=float)))
+        else:
+            assert average_distance(g) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_graphs(max_nodes=16), st.data())
+    def test_horizon_rows_match_induced_subgraph(self, g, data):
+        joins = data.draw(
+            st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count)
+        )
+        rounds = [
+            tuple(g.label(v) for v in range(1, g.node_count) if joins[v] == k)
+            for k in (1, 2, 3)
+        ]
+        iterations = tuple(
+            TraceIteration(index=i, newly_active=labels)
+            for i, labels in enumerate((r for r in rounds if r), start=1)
+        )
+        trace = DiffusionTrace("cns", g.label(0), {}, g.node_count, iterations)
+        rows = evaluate_trace(g, trace, include_initial=True)
+        members = {0}
+        added = [()] + [it.newly_active for it in iterations]
+        for row, labels in zip(rows, added, strict=True):
+            members.update(g.index(label) for label in labels)
+            horizon = induced_subgraph(g, members)
+            assert row.horizon_nodes == horizon.node_count
+            assert row.horizon_edges == horizon.edge_count
+            if horizon.node_count > 1:
+                assert row.density == density(horizon)
+                assert row.avg_degree == average_degree(horizon)
+                assert row.diameter == diameter(horizon)
+                assert row.avg_distance == average_distance(horizon)
 
 
 class TestEvaluateTrace:
