@@ -35,7 +35,6 @@ from .ties import (
     ContributorSet,
     TieStrengthTable,
     build_tie_strength_table,
-    common_neighborhood,
     contributors,
     tie_strength,
 )
@@ -50,12 +49,7 @@ from .models import (
     trace_from_json,
     trace_to_json,
 )
-from .metrics import (
-    IterationMetrics,
-    SpeedSummary,
-    evaluate_trace,
-    summarize_speed,
-)
+from .metrics import IterationMetrics, evaluate_trace
 from .datasets import DatasetDescriptor, dataset_registry, load_dataset
 from .harness import (
     ComparisonReport,

@@ -84,6 +84,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = run_experiment(config)
     with _out_stream(args.out) as fh:
         write_report_csv(report, fh)
+    traces = report.results[config.model].traces
+    truncated = sum(trace.truncated for trace in traces)
+    if truncated:
+        print(
+            f"netdiffuse: warning: {truncated} of {len(traces)} runs stopped "
+            "with nodes unreached",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -21,16 +21,8 @@ from . import golden
 from .datasets import DATASET_NAMES, dataset_registry, load_dataset, require_datasets
 from .errors import ConfigError, GraphError, MissingSeedError, UnknownNodeError
 from .graph import Graph, decode_utf8, largest_connected_component, load_edge_list_path
-from .metrics import (
-    IterationMetrics,
-    SpeedSummary,
-    evaluate_trace,
-    metrics_cells,
-    summarize_speed,
-    write_metrics_csv,
-)
+from .metrics import IterationMetrics, evaluate_trace, metrics_cells, write_metrics_csv
 from .models import DiffusionTrace, ModelParams, run_cns, run_ic, run_si
-from .ties import build_tie_strength_table
 
 __all__ = [
     "ExperimentConfig",
@@ -103,7 +95,6 @@ class ModelResult:
     model: str
     traces: list[DiffusionTrace]
     metrics: list[list[IterationMetrics]]
-    summaries: list[SpeedSummary]
     mean_series: list[dict[str, float]] | None = None
     padded_runs: list[int] | None = None
 
@@ -114,9 +105,6 @@ class ComparisonReport:
     seed_node: str
     graph: Graph
     results: dict[str, ModelResult]
-
-    def speed_table(self) -> dict[str, SpeedSummary]:
-        return {name: r.summaries[0] for name, r in self.results.items()}
 
 
 def _load_run_graph(path: Path | str, seed_node: str) -> Graph:
@@ -133,30 +121,18 @@ def _load_run_graph(path: Path | str, seed_node: str) -> Graph:
 
 
 def _run_model(
-    g: Graph, config: ExperimentConfig, run_index: int
+    g: Graph,
+    model: str,
+    seed: str,
+    params: ModelParams,
+    run_index: int = 0,
+    max_iterations: int | None = None,
 ) -> DiffusionTrace:
-    params = ModelParams(
-        ic_probability=config.ic_probability,
-        si_beta=config.si_beta,
-        rng_seed=config.rng_seed,
-    )
-    if config.model == "cns":
-        return run_cns(g, config.seed_node, max_iterations=config.max_iterations)
-    if config.model == "ic":
-        return run_ic(
-            g,
-            config.seed_node,
-            params,
-            run_index=run_index,
-            max_iterations=config.max_iterations,
-        )
-    return run_si(
-        g,
-        config.seed_node,
-        params,
-        run_index=run_index,
-        max_iterations=config.max_iterations,
-    )
+    """One run of ``model``; cns builds its own tie table."""
+    if model == "cns":
+        return run_cns(g, seed, max_iterations=max_iterations)
+    run = run_ic if model == "ic" else run_si
+    return run(g, seed, params, run_index=run_index, max_iterations=max_iterations)
 
 
 def _mean_series(
@@ -198,10 +174,13 @@ def _mean_series(
 def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Execute one config end to end; see module docstring for aggregation."""
     g = _load_run_graph(config.graph_path, config.seed_node)
-    traces = [_run_model(g, config, r) for r in range(config.runs)]
+    params = ModelParams(config.ic_probability, config.si_beta, config.rng_seed)
+    traces = [
+        _run_model(g, config.model, config.seed_node, params, r, config.max_iterations)
+        for r in range(config.runs)
+    ]
     metrics = [evaluate_trace(g, t) for t in traces]
-    summaries = [summarize_speed(t) for t in traces]
-    result = ModelResult(config.model, traces, metrics, summaries)
+    result = ModelResult(config.model, traces, metrics)
     if config.runs > 1:
         # A run that activated nobody ends in its seed-only state.
         finals = [
@@ -320,13 +299,8 @@ def reproduce_paper(
                 "largest connected component"
             )
         avg_degrees[name] = 2 * g.edge_count / g.node_count
-        table = build_tie_strength_table(g)
-        traces = {
-            "cns": run_cns(g, seed, table=table),
-            "ic": run_ic(g, seed, params),
-            "si": run_si(g, seed, params),
-        }
-        for model, trace in traces.items():
+        for model in MODELS:
+            trace = _run_model(g, model, seed, params)
             produced[(name, model)] = evaluate_trace(g, trace)
 
     written: list[Path] = []

@@ -23,10 +23,8 @@ from .models import DiffusionTrace
 
 __all__ = [
     "IterationMetrics",
-    "SpeedSummary",
     "METRICS_COLUMNS",
     "evaluate_trace",
-    "summarize_speed",
     "metrics_cells",
     "write_metrics_csv",
 ]
@@ -57,12 +55,6 @@ class IterationMetrics:
     avg_distance: float
     density: float
     avg_degree: float
-
-
-@dataclass(frozen=True)
-class SpeedSummary:
-    total_iterations: int
-    final_coverage: float
 
 
 def _horizon_metrics(
@@ -105,16 +97,6 @@ def evaluate_trace(
         members.update(g.index(label) for label in it.newly_active)
         rows.append(_horizon_metrics(adjacency, it.index, members))
     return rows
-
-
-def summarize_speed(trace: DiffusionTrace) -> SpeedSummary:
-    """Iteration count and final coverage; a no-spread trace is 0 rounds."""
-    if trace.node_count < 1:
-        raise ValueError("trace has no nodes")
-    return SpeedSummary(
-        total_iterations=trace.total_iterations,
-        final_coverage=trace.final_coverage,
-    )
 
 
 def _fmt(value: float) -> str:

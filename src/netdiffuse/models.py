@@ -173,7 +173,7 @@ def run_cns(
     truncated = False
     while frontier:
         if max_iterations is not None and len(rounds) >= max_iterations:
-            truncated = True
+            truncated = len(active) < g.node_count
             break
         start = frozenset(active)
         newly: set[int] = set()
@@ -216,7 +216,7 @@ def run_ic(
     truncated = False
     while frontier:
         if max_iterations is not None and len(rounds) >= max_iterations:
-            truncated = True
+            truncated = len(active) < g.node_count
             break
         newly: set[int] = set()
         for v in frontier:

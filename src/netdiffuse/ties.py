@@ -7,6 +7,24 @@ neighbors, and the overlap of every connected common-neighbor pair. A
 pair without common neighbors degenerates to 1 when either endpoint has
 degree one (the edge is then the only interaction path) and 0 otherwise.
 
+The terms are computed one node at a time. For node v let ``B`` be the
+0/1 adjacency matrix among the neighbors N(v), and ``W`` the same
+matrix with each edge weighted by its own common-neighbor count. Row i
+of these identities holds the terms of the ordered edge (v, N(v)[i]):
+
+    term_cn     = rowsum(B)
+    term_v_side = B @ term_cn
+    term_u_side = rowsum(W)
+    term_sigma  = rowsum(B @ B * B) / 2
+    term_ww     = rowsum(B @ W * B) / 2
+
+(the last two see each connected common-neighbor pair from both ends).
+The products run in float64 and are exact while every count stays below
+2**53; the weights, at most n - 2, are held as float32, exact below
+2**24. Every score lives in edge-indexed arrays in ``adjacency_csr``
+order: position k is the ordered edge (v, indices[k]) for the row v that
+holds k, so rows ascend by v and, within a row, by neighbor.
+
 Tie strength ``phi`` normalizes ``rho`` by the maximum score on the
 source node's row, making it asymmetric; the ordered pairs that reach
 1.0 form the strong-tie set consumed by the diffusion models.
@@ -14,17 +32,20 @@ source node's row, making it asymmetric; the ordered pairs that reach
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import IO
 
+import numpy as np
+from scipy.sparse import csr_matrix
+
 from .errors import NotAnEdgeError
-from .graph import Graph
+from .graph import Graph, adjacency_csr
 
 __all__ = [
     "CommonNeighborhoodBreakdown",
     "ContributorSet",
     "TieStrengthTable",
-    "common_neighborhood",
     "contributors",
     "build_tie_strength_table",
     "tie_strength",
@@ -42,6 +63,8 @@ TIE_TABLE_COLUMNS = (
     "rho",
     "phi",
 )
+
+_RHO = 5  # column of rho in TieStrengthTable.terms
 
 
 @dataclass(frozen=True)
@@ -61,19 +84,6 @@ class CommonNeighborhoodBreakdown:
     term_ww: int
     rho: int
 
-    def swapped(self) -> "CommonNeighborhoodBreakdown":
-        """The same pair seen from the other endpoint (rho is symmetric)."""
-        return CommonNeighborhoodBreakdown(
-            v=self.u,
-            u=self.v,
-            term_cn=self.term_cn,
-            term_v_side=self.term_u_side,
-            term_u_side=self.term_v_side,
-            term_sigma=self.term_sigma,
-            term_ww=self.term_ww,
-            rho=self.rho,
-        )
-
 
 @dataclass(frozen=True)
 class ContributorSet:
@@ -89,46 +99,6 @@ def _require_edge(g: Graph, v: int, u: int) -> None:
         raise NotAnEdgeError(f"({v}, {u}) is not an edge of the graph")
 
 
-def _connected_common_pairs(g: Graph, common: list[int]):
-    for i, w in enumerate(common):
-        nw = g.neighbor_set(w)
-        for z in common[i + 1 :]:
-            if z in nw:
-                yield w, z
-
-
-def common_neighborhood(g: Graph, v: int, u: int) -> CommonNeighborhoodBreakdown:
-    """Score one ordered edge (v, u).
-
-    The second and third terms sum the endpoint overlap over every common
-    neighbor; the fourth counts unordered connected common-neighbor pairs
-    and the fifth sums the overlap of exactly those pairs.
-    """
-    _require_edge(g, v, u)
-    nv = g.neighbor_set(v)
-    nu = g.neighbor_set(u)
-    common = sorted(nv & nu)
-    if not common:
-        rho = 1 if g.degree(v) == 1 or g.degree(u) == 1 else 0
-        return CommonNeighborhoodBreakdown(v, u, 0, 0, 0, 0, 0, rho)
-    term_cn = len(common)
-    term_v_side = 0
-    term_u_side = 0
-    for z in common:
-        nz = g.neighbor_set(z)
-        term_v_side += len(nv & nz)
-        term_u_side += len(nu & nz)
-    term_sigma = 0
-    term_ww = 0
-    for w, z in _connected_common_pairs(g, common):
-        term_sigma += 1
-        term_ww += len(g.neighbor_set(w) & g.neighbor_set(z))
-    rho = term_cn + term_v_side + term_u_side + term_sigma + term_ww
-    return CommonNeighborhoodBreakdown(
-        v, u, term_cn, term_v_side, term_u_side, term_sigma, term_ww, rho
-    )
-
-
 def contributors(g: Graph, v: int, u: int) -> ContributorSet:
     """Every node that appears in some score term of (v, u), minus v and u.
 
@@ -141,105 +111,123 @@ def contributors(g: Graph, v: int, u: int) -> ContributorSet:
     members: set[int] = set()
     if common:
         members.update(common)
-        for z in common:
-            nz = g.neighbor_set(z)
-            members.update(nv & nz)
-            members.update(nu & nz)
-        for w, z in _connected_common_pairs(g, common):
-            members.update(g.neighbor_set(w) & g.neighbor_set(z))
+        for i, w in enumerate(common):
+            nw = g.neighbor_set(w)
+            members.update(nv & nw)
+            members.update(nu & nw)
+            for z in common[i + 1 :]:
+                if z in nw:
+                    members.update(nw & g.neighbor_set(z))
         members.discard(v)
         members.discard(u)
     return ContributorSet(v, u, frozenset(members))
 
 
-@dataclass
-class TieStrengthTable:
-    """All per-edge breakdowns, tie strengths and the strong-tie set.
+def _edge_sources(indptr: np.ndarray) -> np.ndarray:
+    """The source node of every ordered edge of a CSR adjacency."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
-    Built once per graph and then treated as immutable; the contributor
-    cache only ever grows and is safe to share across readers.
+
+@dataclass(frozen=True, eq=False)
+class TieStrengthTable:
+    """Scores of every ordered edge, as arrays in ``adjacency`` order.
+
+    ``terms[k]`` holds term_cn, term_v_side, term_u_side, term_sigma,
+    term_ww and rho of ordered edge k, ``phi[k]`` its tie strength, and
+    ``row_max[v]`` the largest rho on v's row (0 for an isolated node).
     """
 
     graph: Graph
-    breakdowns: dict[tuple[int, int], CommonNeighborhoodBreakdown]
-    phi: dict[tuple[int, int], float]
-    row_max: dict[int, int]
+    adjacency: csr_matrix
+    terms: np.ndarray
+    phi: np.ndarray
+    row_max: np.ndarray
     strong_ties: frozenset[tuple[int, int]]
-    _contributor_cache: dict[tuple[int, int], frozenset[int]] = field(
-        default_factory=dict, repr=False
-    )
+
+    def _position(self, v: int, u: int) -> int:
+        """Index of the ordered edge (v, u) in the edge arrays."""
+        _require_edge(self.graph, v, u)
+        start = int(self.adjacency.indptr[v])
+        return start + bisect_left(self.graph.neighbors_of(v), u)
+
+    def breakdown(self, v: int, u: int) -> CommonNeighborhoodBreakdown:
+        terms = self.terms[self._position(v, u)].tolist()
+        return CommonNeighborhoodBreakdown(v, u, *terms)
 
     def rho(self, v: int, u: int) -> int:
-        return self.breakdowns[(v, u)].rho
+        return int(self.terms[self._position(v, u), _RHO])
 
     def contributor_members(self, v: int, u: int) -> frozenset[int]:
-        key = (v, u)
-        if key not in self._contributor_cache:
-            self._contributor_cache[key] = contributors(self.graph, v, u).members
-        return self._contributor_cache[key]
+        return contributors(self.graph, v, u).members
 
 
 def build_tie_strength_table(g: Graph) -> TieStrengthTable:
-    """Compute breakdowns and tie strengths for both orientations of every edge.
+    """Score both orientations of every edge, one neighborhood block per node.
 
     Row maxima are not tie-broken: every co-maximal neighbor of a node
     enters the strong-tie set.
     """
-    breakdowns: dict[tuple[int, int], CommonNeighborhoodBreakdown] = {}
-    for v, u in g.edges():
-        b = common_neighborhood(g, v, u)
-        breakdowns[(v, u)] = b
-        breakdowns[(u, v)] = b.swapped()
+    adjacency = adjacency_csr(g)
+    indptr, indices = adjacency.indptr, adjacency.indices
+    linked = adjacency.toarray()
+    neighborhoods = np.split(indices, indptr[1:-1])
+    # Every edge's common-neighbor count: the weights of W.
+    weight = np.zeros(linked.shape, dtype=np.float32)
+    for v, nbrs in enumerate(neighborhoods):
+        weight[v, nbrs] = linked[np.ix_(nbrs, nbrs)].sum(axis=1)
 
-    row_max: dict[int, int] = {}
-    for v in range(g.node_count):
-        row_max[v] = max(
-            (breakdowns[(v, u)].rho for u in g.neighbors_of(v)), default=0
-        )
+    terms = np.zeros((len(indices), 6), dtype=np.int64)
+    for v, nbrs in enumerate(neighborhoods):
+        block = np.ix_(nbrs, nbrs)
+        b = linked[block].astype(np.float64)
+        w = weight[block].astype(np.float64)
+        cn = b.sum(axis=1)
+        row = terms[indptr[v] : indptr[v + 1]]
+        row[:, 0] = cn
+        row[:, 1] = b @ cn
+        row[:, 2] = w.sum(axis=1)
+        row[:, 3] = ((b @ b) * b).sum(axis=1) / 2
+        row[:, 4] = ((b @ w) * b).sum(axis=1) / 2
 
-    phi: dict[tuple[int, int], float] = {}
-    strong: set[tuple[int, int]] = set()
-    for (v, u), b in breakdowns.items():
-        if b.rho == 0 or row_max[v] == 0:
-            phi[(v, u)] = 0.0
-        else:
-            phi[(v, u)] = b.rho / row_max[v]
-            if b.rho == row_max[v]:
-                strong.add((v, u))
+    degree = np.diff(indptr)
+    sources = _edge_sources(indptr)
+    # A pair without common neighbors scores 1 iff an endpoint is a leaf.
+    lone = (degree[sources] == 1) | (degree[indices] == 1)
+    rho = np.where(terms[:, 0] > 0, terms[:, :_RHO].sum(axis=1), lone)
+    terms[:, _RHO] = rho
+    row_max = np.zeros(g.node_count, dtype=np.int64)
+    np.maximum.at(row_max, sources, rho)
+    source_max = row_max[sources]
+    phi = np.divide(rho, source_max, out=np.zeros(len(rho)), where=source_max > 0)
+    strong = (rho == source_max) & (rho > 0)
     return TieStrengthTable(
         graph=g,
-        breakdowns=breakdowns,
+        adjacency=adjacency,
+        terms=terms,
         phi=phi,
         row_max=row_max,
-        strong_ties=frozenset(strong),
+        strong_ties=frozenset(zip(sources[strong].tolist(), indices[strong].tolist())),
     )
 
 
-def tie_strength(g: Graph, table: TieStrengthTable, v: int, u: int) -> float:
+def tie_strength(table: TieStrengthTable, v: int, u: int) -> float:
     """Normalized score of the ordered edge (v, u); 0.0 when its score is 0."""
-    _require_edge(g, v, u)
-    return table.phi[(v, u)]
+    return float(table.phi[table._position(v, u)])
 
 
 def dump_tie_table(table: TieStrengthTable, stream: IO[str]) -> None:
     """Write the debug CSV, one row per ordered edge, sorted by labels."""
-    g = table.graph
+    labels = table.graph.labels
+    sources = _edge_sources(table.adjacency.indptr).tolist()
+    targets = table.adjacency.indices.tolist()
+    terms = table.terms.tolist()
+    phi = table.phi.tolist()
+    order = sorted(
+        range(len(targets)), key=lambda k: (labels[sources[k]], labels[targets[k]])
+    )
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(TIE_TABLE_COLUMNS)
-    rows = sorted(
-        table.breakdowns.items(), key=lambda kv: (g.label(kv[0][0]), g.label(kv[0][1]))
-    )
-    for (v, u), b in rows:
+    for k in order:
         writer.writerow(
-            [
-                g.label(v),
-                g.label(u),
-                b.term_cn,
-                b.term_v_side,
-                b.term_u_side,
-                b.term_sigma,
-                b.term_ww,
-                b.rho,
-                f"{table.phi[(v, u)]:.6f}",
-            ]
+            [labels[sources[k]], labels[targets[k]], *terms[k], f"{phi[k]:.6f}"]
         )

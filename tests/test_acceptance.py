@@ -19,7 +19,7 @@ from netdiffuse.graph import bfs_distances
 from netdiffuse.harness import reproduce_paper
 from netdiffuse.metrics import evaluate_trace
 from netdiffuse.models import ModelParams, run_cns, run_ic, run_si
-from netdiffuse.ties import build_tie_strength_table, common_neighborhood
+from netdiffuse.ties import build_tie_strength_table
 
 from conftest import er_graph
 from test_models import check_monotone_and_closed
@@ -60,8 +60,9 @@ def test_criterion_1_rho_oracle_equivalence():
     checked = 0
     for i in range(200):
         g = er_graph(4 + (i % 47), (0.1, 0.3, 0.6)[i % 3], rng)
+        table = build_tie_strength_table(g)
         for v, u in g.edges():
-            assert as_tuple(common_neighborhood(g, v, u)) == oracle_breakdown(g, v, u)
+            assert as_tuple(table.breakdown(v, u)) == oracle_breakdown(g, v, u)
             checked += 1
     elapsed = time.perf_counter() - start
     _verdict(

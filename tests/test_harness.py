@@ -21,7 +21,7 @@ from netdiffuse.harness import (
     run_experiment,
     write_report_csv,
 )
-from netdiffuse.metrics import evaluate_trace
+from netdiffuse.metrics import METRICS_COLUMNS, evaluate_trace
 
 
 def write_graph(path, text):
@@ -70,7 +70,7 @@ class TestConfigValidation:
 class TestRunExperiment:
     def test_karate_cns_speed(self, karate_path):
         report = run_experiment(ExperimentConfig(karate_path, "cns", "2"))
-        assert report.speed_table()["cns"].total_iterations == 3
+        assert report.results["cns"].traces[0].total_iterations == 3
 
     def test_seed_lost_to_reduction_names_it(self, tmp_path):
         path = write_graph(tmp_path / "two.txt", "a b\nb c\nx y\n")
@@ -249,6 +249,26 @@ class TestCli:
         )
         assert code == 0
         assert any(line.startswith("karate,ic,mean,") for line in out.read_text().splitlines())
+
+    def test_truncated_runs_warn_on_stderr(self, karate_path, capsys):
+        code = main(
+            ["run", "--graph", karate_path, "--model", "si", "--si-beta", "0",
+             "--runs", "2", "--seed-node", "2", "--out", "-"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == ",".join(METRICS_COLUMNS) + "\n"
+        assert captured.err == (
+            "netdiffuse: warning: 2 of 2 runs stopped with nodes unreached\n"
+        )
+
+    def test_complete_runs_print_nothing_on_stderr(self, karate_path, capsys):
+        code = main(
+            ["run", "--graph", karate_path, "--model", "si", "--runs", "2",
+             "--seed-node", "2", "--out", "-"]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_tie_table(self, karate_path, tmp_path):
         out = tmp_path / "ties.csv"

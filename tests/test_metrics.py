@@ -21,12 +21,7 @@ from netdiffuse.graph import (
     graph_from_text,
     induced_subgraph,
 )
-from netdiffuse.metrics import (
-    METRICS_COLUMNS,
-    evaluate_trace,
-    metrics_cells,
-    summarize_speed,
-)
+from netdiffuse.metrics import METRICS_COLUMNS, evaluate_trace, metrics_cells
 from netdiffuse.models import (
     DiffusionTrace,
     ModelParams,
@@ -214,16 +209,18 @@ class TestEvaluateTrace:
 
 
 class TestSummarizeSpeed:
+    """Spreading speed as the trace reports it: rounds and final coverage."""
+
     def test_karate(self, karate):
-        s = summarize_speed(run_cns(karate, "2"))
-        assert s.total_iterations == 3
-        assert s.final_coverage == pytest.approx(33 / 34)
+        trace = run_cns(karate, "2")
+        assert trace.total_iterations == 3
+        assert trace.final_coverage == pytest.approx(33 / 34)
 
     def test_no_spread(self):
         g = graph_from_text("a b\nb c\nc d\nd a")
-        s = summarize_speed(run_cns(g, "a"))
-        assert s.total_iterations == 0
-        assert s.final_coverage == 0.25
+        trace = run_cns(g, "a")
+        assert trace.total_iterations == 0
+        assert trace.final_coverage == 0.25
 
 
 class TestCsvCells:

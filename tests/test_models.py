@@ -119,6 +119,12 @@ class TestRunCns:
         assert trace.total_iterations == 1
         assert trace.truncated
 
+    @pytest.mark.parametrize("run", [run_cns, run_ic])
+    def test_cap_reached_with_every_node_active_is_not_truncation(self, run):
+        trace = run(complete_graph(3), "0", max_iterations=1)
+        assert trace.final_coverage == 1.0
+        assert not trace.truncated
+
     @settings(max_examples=40, deadline=None)
     @given(random_graphs())
     def test_structure_and_two_hop_containment(self, g):
