@@ -9,11 +9,12 @@ from __future__ import annotations
 import io
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import (
     EdgeListParseError,
@@ -22,6 +23,7 @@ from .errors import (
 )
 
 __all__ = [
+    "Adjacency",
     "Graph",
     "decode_utf8",
     "load_edge_list",
@@ -38,6 +40,42 @@ __all__ = [
     "density",
     "average_degree",
 ]
+
+
+class Adjacency(NamedTuple):
+    """Compressed sparse rows of a symmetric adjacency.
+
+    Row v is ``indices[indptr[v]:indptr[v + 1]]``, the neighbors of v in
+    ascending order; position k is the ordered edge (sources()[k],
+    indices[k]), so edges ascend by source and then by target.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def node_count(self) -> int:
+        return len(self.indptr) - 1
+
+    def sources(self) -> np.ndarray:
+        """The source node of every ordered edge."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+
+    def induced(self, members: Sequence[int] | np.ndarray) -> Adjacency:
+        """Rows and columns of ``members``, renumbered in ascending order.
+
+        Keeps exactly the edges with both ends among the members, like
+        ``adjacency_csr(induced_subgraph(g, members))``.
+        """
+        keep = np.unique(np.asarray(members, dtype=np.int64))
+        new_index = np.full(self.node_count, -1, dtype=np.int64)
+        new_index[keep] = np.arange(len(keep))
+        sources = new_index[self.sources()]
+        targets = new_index[self.indices]
+        inside = (sources >= 0) & (targets >= 0)
+        indptr = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources[inside], minlength=len(keep)), out=indptr[1:])
+        return Adjacency(indptr, targets[inside])
 
 
 @dataclass(frozen=True)
@@ -105,6 +143,15 @@ class Graph:
             for u in ns:
                 if v < u:
                     yield v, u
+
+    @cached_property
+    def _csr(self) -> Adjacency:
+        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.cumsum([len(ns) for ns in self.neighbors], out=indptr[1:])
+        indices = np.fromiter(
+            chain.from_iterable(self.neighbors), dtype=np.int64, count=int(indptr[-1])
+        )
+        return Adjacency(indptr, indices)
 
 
 def _build(labels: list[str], edge_indices: set[tuple[int, int]]) -> Graph:
@@ -252,54 +299,62 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     return _build(labels, edges)
 
 
-def adjacency_csr(g: Graph) -> csr_matrix:
-    """Boolean adjacency matrix; row v holds the neighbors of v."""
-    n = g.node_count
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for v in range(n):
-        indptr[v + 1] = indptr[v] + g.degree(v)
-    indices = np.fromiter(
-        (u for v in range(n) for u in g.neighbors_of(v)),
-        dtype=np.int64,
-        count=int(indptr[-1]),
-    )
-    data = np.ones(len(indices), dtype=bool)
-    return csr_matrix((data, indices, indptr), shape=(n, n))
+def adjacency_csr(g: Graph) -> Adjacency:
+    """The adjacency of ``g`` in CSR form, built once per graph."""
+    return g._csr
 
 
-def _bfs_levels(adjacency: csr_matrix) -> Iterator[tuple[int, np.ndarray]]:
+def _bfs_levels(adjacency: Adjacency) -> Iterator[tuple[int, np.ndarray]]:
     """Level-synchronous breadth-first search from every node at once.
 
     Yields ``(level, frontier)`` for levels 1, 2, ... while any pair is
-    newly reached: ``frontier[v, s]`` is True iff v is exactly ``level``
-    hops from s. ``adjacency`` is boolean: the product of boolean
-    matrices ORs over neighbors, so no neighbor count can overflow.
+    newly reached. ``frontier`` is a (ceil(n / 64), n) uint64 array:
+    column v holds a bitset over sources, and bit s of that column's
+    bytes (little bit order) is set iff v is exactly ``level`` hops from
+    s. A level ORs the columns of each node's neighbors, one contiguous
+    run per word row, so the search is bitwise throughout. The yielded
+    array is the next level's input and must not be changed.
     """
-    visited = np.eye(adjacency.shape[0], dtype=bool)
-    frontier = visited
+    indptr, indices = adjacency
+    n = adjacency.node_count
+    if len(indices) == 0:
+        return
+    visited = np.zeros((-(-n // 64), n), dtype=np.uint64)
+    nodes = np.arange(n)
+    # Source s is bit s & 7 of byte (s >> 3) & 7 of word (s >> 6, v); setting
+    # bytes, not words, keeps that place the same on any endianness.
+    byte = 8 * nodes + ((nodes >> 3) & 7)
+    visited.view(np.uint8)[nodes >> 6, byte] = 1 << (nodes & 7)
+    frontier = visited.copy()
+    # reduceat gives an empty segment its start element: skip isolated nodes.
+    has = np.diff(indptr) > 0
+    starts = indptr[:-1][has]
     level = 0
     while True:
-        frontier = adjacency @ frontier
-        frontier &= ~visited
-        if not frontier.any():
+        reached = np.zeros_like(visited)
+        reached[:, has] = np.bitwise_or.reduceat(
+            frontier.take(indices, axis=1), starts, axis=1
+        )
+        reached &= ~visited
+        if not reached.any():
             return
         level += 1
-        visited |= frontier
+        visited |= reached
+        frontier = reached
         yield level, frontier
 
 
-def distance_summary(adjacency: csr_matrix) -> tuple[int, int, int]:
+def distance_summary(adjacency: Adjacency) -> tuple[int, int, int]:
     """(diameter, distance sum, pair count) over unordered connected pairs.
 
-    ``adjacency`` is a symmetric boolean adjacency matrix, as built by
-    ``adjacency_csr`` or sliced from one. Unreachable pairs are
-    left out of all three; the distance matrix is never built. The sum
-    and the count are exact integers, so ``sum / count`` is the correctly
-    rounded mean distance.
+    ``adjacency`` is a symmetric adjacency, as built by ``adjacency_csr``
+    or induced from one. Unreachable pairs are left out of all three;
+    the distance matrix is never built. The sum and the count are exact
+    integers, so ``sum / count`` is the correctly rounded mean distance.
     """
     diameter = total = pairs = 0
     for level, frontier in _bfs_levels(adjacency):
-        count = int(np.count_nonzero(frontier))
+        count = int(np.bitwise_count(frontier).sum())
         diameter = level
         total += level * count
         pairs += count
@@ -309,10 +364,13 @@ def distance_summary(adjacency: csr_matrix) -> tuple[int, int, int]:
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Dense hop-count matrix with ``inf`` for unreachable pairs."""
-    out = np.full((g.node_count, g.node_count), np.inf)
+    n = g.node_count
+    out = np.full((n, n), np.inf)
     np.fill_diagonal(out, 0.0)
     for level, frontier in _bfs_levels(adjacency_csr(g)):
-        out[frontier] = level
+        rows = np.ascontiguousarray(frontier.T).view(np.uint8)
+        bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
+        out[bits.view(bool)] = level
     return out
 
 

@@ -3,11 +3,12 @@
 Each iteration's cumulative active set induces a subgraph, the diffusion
 horizon, and every reported quantity is a property of that horizon:
 coverage against the full graph, then diameter, average distance,
-density and average degree within it. Each horizon is sliced out of
-the parent graph's adjacency matrix, built once per trace, and its
-distances come from one breadth-first search from all of its nodes at
-once. Distance metrics skip disconnected pairs; a single-node horizon
-reports zeros across the board so pre-diffusion rows stay representable.
+density and average degree within it. Each horizon is induced from the
+parent graph's CSR adjacency, which the graph builds once, and its
+distances come from one bit-packed breadth-first search from all of its
+nodes at once. Distance metrics skip disconnected pairs; a single-node
+horizon reports zeros across the board so pre-diffusion rows stay
+representable.
 """
 from __future__ import annotations
 
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
-from .graph import Graph, adjacency_csr, distance_summary
+from .graph import Adjacency, Graph, adjacency_csr, distance_summary
 from .models import DiffusionTrace
 
 __all__ = [
@@ -58,15 +58,14 @@ class IterationMetrics:
 
 
 def _horizon_metrics(
-    adjacency: csr_matrix, iteration: int, members: set[int]
+    adjacency: Adjacency, iteration: int, members: set[int]
 ) -> IterationMetrics:
     n = len(members)
-    coverage = n / adjacency.shape[0]
+    coverage = n / adjacency.node_count
     if n == 1:
         return IterationMetrics(iteration, coverage, 1, 0, 0, 0.0, 0.0, 0.0)
-    idx = np.fromiter(members, dtype=np.intp, count=n)
-    horizon = adjacency[idx][:, idx]
-    edges = horizon.nnz // 2
+    horizon = adjacency.induced(np.fromiter(members, dtype=np.int64, count=n))
+    edges = len(horizon.indices) // 2
     diameter, total, pairs = distance_summary(horizon)
     return IterationMetrics(
         iteration=iteration,

@@ -37,10 +37,9 @@ from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import NotAnEdgeError
-from .graph import Graph, adjacency_csr
+from .graph import Adjacency, Graph, adjacency_csr
 
 __all__ = [
     "CommonNeighborhoodBreakdown",
@@ -123,11 +122,6 @@ def contributors(g: Graph, v: int, u: int) -> ContributorSet:
     return ContributorSet(v, u, frozenset(members))
 
 
-def _edge_sources(indptr: np.ndarray) -> np.ndarray:
-    """The source node of every ordered edge of a CSR adjacency."""
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-
-
 @dataclass(frozen=True, eq=False)
 class TieStrengthTable:
     """Scores of every ordered edge, as arrays in ``adjacency`` order.
@@ -138,7 +132,7 @@ class TieStrengthTable:
     """
 
     graph: Graph
-    adjacency: csr_matrix
+    adjacency: Adjacency
     terms: np.ndarray
     phi: np.ndarray
     row_max: np.ndarray
@@ -168,8 +162,10 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
     enters the strong-tie set.
     """
     adjacency = adjacency_csr(g)
-    indptr, indices = adjacency.indptr, adjacency.indices
-    linked = adjacency.toarray()
+    indptr, indices = adjacency
+    sources = adjacency.sources()
+    linked = np.zeros((g.node_count, g.node_count), dtype=bool)
+    linked[sources, indices] = True
     neighborhoods = np.split(indices, indptr[1:-1])
     # Every edge's common-neighbor count: the weights of W.
     weight = np.zeros(linked.shape, dtype=np.float32)
@@ -190,7 +186,6 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
         row[:, 4] = ((b @ w) * b).sum(axis=1) / 2
 
     degree = np.diff(indptr)
-    sources = _edge_sources(indptr)
     # A pair without common neighbors scores 1 iff an endpoint is a leaf.
     lone = (degree[sources] == 1) | (degree[indices] == 1)
     rho = np.where(terms[:, 0] > 0, terms[:, :_RHO].sum(axis=1), lone)
@@ -218,7 +213,7 @@ def tie_strength(table: TieStrengthTable, v: int, u: int) -> float:
 def dump_tie_table(table: TieStrengthTable, stream: IO[str]) -> None:
     """Write the debug CSV, one row per ordered edge, sorted by labels."""
     labels = table.graph.labels
-    sources = _edge_sources(table.adjacency.indptr).tolist()
+    sources = table.adjacency.sources().tolist()
     targets = table.adjacency.indices.tolist()
     terms = table.terms.tolist()
     phi = table.phi.tolist()

@@ -3,19 +3,25 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netdiffuse
 from netdiffuse.errors import (
     EdgeListParseError,
     EmptyInputError,
     UnknownNodeError,
 )
 from netdiffuse.graph import (
+    adjacency_csr,
     all_pairs_distances,
     average_degree,
     average_distance,
@@ -23,6 +29,7 @@ from netdiffuse.graph import (
     connected_components,
     density,
     diameter,
+    distance_summary,
     graph_from_edges,
     graph_from_text,
     induced_subgraph,
@@ -202,6 +209,76 @@ class TestInducedSubgraph:
         g = graph_from_text("a b")
         with pytest.raises(UnknownNodeError):
             induced_subgraph(g, [0, 5])
+
+
+def independent_set(g):
+    """Greedy set of pairwise non-adjacent nodes, in index order."""
+    members = []
+    for v in range(g.node_count):
+        if not any(g.has_edge(v, u) for u in members):
+            members.append(v)
+    return members
+
+
+class TestInducedAdjacency:
+    """``adjacency_csr(g).induced(members)`` equals the CSR of
+    ``induced_subgraph(g, members)`` array for array."""
+
+    @staticmethod
+    def induced(g, members):
+        got = adjacency_csr(g).induced(members)
+        want = adjacency_csr(induced_subgraph(g, members))
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        return got
+
+    def test_unsorted_members(self, karate):
+        got = self.induced(karate, [30, 2, 0, 17, 33, 8, 1])
+        assert got.node_count == 7
+
+    def test_duplicate_members(self, karate):
+        got = self.induced(karate, [5, 0, 5, 16, 6, 0, 6])
+        assert got.node_count == 4
+
+    def test_no_internal_edges(self, karate):
+        members = independent_set(karate)
+        got = self.induced(karate, members[::-1])
+        assert got.node_count == len(members) > 1
+        assert len(got.indices) == 0
+        assert distance_summary(got) == (0, 0, 0)
+
+    def test_empty_rows_between_edges(self):
+        # Node a has no neighbor inside, so the first CSR row is empty.
+        g = graph_from_text("a b\nb c\nc d\nd e\ne f")
+        got = self.induced(g, [4, 0, 2, 3])
+        assert got.indptr.tolist() == [0, 0, 1, 3, 4]
+        assert distance_summary(got) == (2, 4, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_graphs(max_nodes=30), st.data())
+    def test_any_member_list(self, g, data):
+        members = data.draw(
+            st.lists(st.integers(0, g.node_count - 1), min_size=1, max_size=40)
+        )
+        self.induced(g, members)
+
+
+def test_imports_load_no_scipy():
+    """The package, the CLI and the graph layer start on numpy alone."""
+    code = (
+        "import sys, netdiffuse, netdiffuse.cli, netdiffuse.graph\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    src = str(Path(netdiffuse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestWholeGraphMetrics:

@@ -1,6 +1,7 @@
 """Per-iteration horizon metrics and their internal consistency."""
 from __future__ import annotations
 
+import random
 from collections import deque
 
 import numpy as np
@@ -36,7 +37,7 @@ from conftest import complete_graph, random_graphs
 
 def horizon_distance_oracle(g, members):
     """All finite pairwise distances inside the induced horizon, by a
-    dict-and-queue BFS that shares nothing with the sparse-matrix path."""
+    dict-and-queue BFS that shares nothing with the bit-packed CSR path."""
     members = sorted(members)
     adj = {
         v: [u for u in g.neighbors_of(v) if u in set(members)] for v in members
@@ -76,6 +77,64 @@ def any_graphs(draw, max_nodes: int = 14):
     return graph_on(n, [pair for pair, kept in zip(pairs, keep) if kept])
 
 
+@st.composite
+def sparse_graphs(draw, min_nodes: int = 60, max_nodes: int = 140):
+    """Sparse random graphs that span two or three 64-bit words of sources;
+    isolated nodes and several components are common."""
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
+    mean_degree = draw(st.sampled_from([0.5, 1.5, 3.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**20)))
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(int(mean_degree * n / 2))]
+    edges = {(min(pair), max(pair)) for pair in pairs if pair[0] != pair[1]}
+    return graph_on(n, sorted(edges))
+
+
+def two_components_and_isolated(n):
+    """A path over every other node, a cycle over the rest, and the
+    isolated nodes 0, 63 and n - 1, which sit at word boundaries."""
+    isolated = {0, 63 % n, n - 1}
+    rest = [v for v in range(n) if v not in isolated]
+    path, ring = rest[0::2], rest[1::2]
+    edges = list(zip(path, path[1:])) + list(zip(ring, ring[1:] + ring[:1]))
+    return graph_on(n, edges)
+
+
+WORD_BOUNDARY_SHAPES = {
+    "path": lambda n: graph_on(n, [(v, v + 1) for v in range(n - 1)]),
+    "cycle": lambda n: graph_on(n, [(v, (v + 1) % n) for v in range(n)]),
+    "star": lambda n: graph_on(n, [(0, v) for v in range(1, n)]),
+    "two_components_and_isolated": two_components_and_isolated,
+}
+
+
+def assert_distances_match_oracles(g):
+    """Every distance entry point against networkx and the queue BFS."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.node_count))
+    h.add_edges_from(g.edges())
+    want = np.full((g.node_count, g.node_count), np.inf)
+    for s, lengths in nx.all_pairs_shortest_path_length(h):
+        for t, d in lengths.items():
+            want[s, t] = d
+    finite = [int(want[s, t]) for s, t in zip(*np.triu_indices(g.node_count, 1))
+              if np.isfinite(want[s, t])]
+    assert sorted(finite) == sorted(horizon_distance_oracle(g, range(g.node_count)))
+
+    assert np.array_equal(all_pairs_distances(g), want)
+    summary = (max(finite, default=0), sum(finite), len(finite))
+    assert distance_summary(adjacency_csr(g)) == summary
+    assert diameter(g) == summary[0]
+    if g.node_count < 2:
+        with pytest.raises(UnknownNodeError):
+            average_distance(g)
+    elif finite:
+        # the exact integer ratio is the float mean over the pairs
+        assert average_distance(g) == float(np.mean(np.array(finite, dtype=float)))
+    else:
+        assert average_distance(g) == 0.0
+
+
 class TestDistanceKernel:
     @settings(max_examples=80, deadline=None)
     @given(any_graphs())
@@ -83,30 +142,17 @@ class TestDistanceKernel:
     @example(graph_on(4, []))
     @example(graph_on(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
     def test_matches_networkx_and_queue_bfs(self, g):
-        nx = pytest.importorskip("networkx")
-        h = nx.Graph()
-        h.add_nodes_from(range(g.node_count))
-        h.add_edges_from(g.edges())
-        want = np.full((g.node_count, g.node_count), np.inf)
-        for s, lengths in nx.all_pairs_shortest_path_length(h):
-            for t, d in lengths.items():
-                want[s, t] = d
-        finite = [int(want[s, t]) for s, t in zip(*np.triu_indices(g.node_count, 1))
-                  if np.isfinite(want[s, t])]
-        assert sorted(finite) == sorted(horizon_distance_oracle(g, range(g.node_count)))
+        assert_distances_match_oracles(g)
 
-        assert np.array_equal(all_pairs_distances(g), want)
-        summary = (max(finite, default=0), sum(finite), len(finite))
-        assert distance_summary(adjacency_csr(g)) == summary
-        assert diameter(g) == summary[0]
-        if g.node_count < 2:
-            with pytest.raises(UnknownNodeError):
-                average_distance(g)
-        elif finite:
-            # the exact integer ratio is the float mean over the pairs
-            assert average_distance(g) == float(np.mean(np.array(finite, dtype=float)))
-        else:
-            assert average_distance(g) == 0.0
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("shape", sorted(WORD_BOUNDARY_SHAPES))
+    def test_word_boundaries(self, shape, n):
+        assert_distances_match_oracles(WORD_BOUNDARY_SHAPES[shape](n))
+
+    @settings(max_examples=8, deadline=None)
+    @given(sparse_graphs())
+    def test_sparse_graphs_over_several_words(self, g):
+        assert_distances_match_oracles(g)
 
     @settings(max_examples=40, deadline=None)
     @given(random_graphs(max_nodes=16), st.data())
