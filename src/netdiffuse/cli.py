@@ -5,11 +5,14 @@ CSV, `reproduce` regenerates the benchmark figure data with a deviation
 report, `tie-table` dumps the tie-strength debug CSV for a graph.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-inconsistent input files, unknown nodes, missing datasets).
+inconsistent input files, unknown nodes, missing datasets). Standard
+error gets at most one line: the error, or else the command's warnings
+joined into one.
 """
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from contextlib import nullcontext
 
@@ -25,6 +28,9 @@ from .harness import (
 from .ties import build_tie_strength_table, dump_tie_table
 
 __all__ = ["main", "build_parser"]
+
+# Not __name__: that is "__main__" under `python -m netdiffuse.cli`.
+logger = logging.getLogger("netdiffuse.cli")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rng-seed", type=int, default=42)
     run.add_argument("--runs", type=int, default=1,
                      help="repetitions; > 1 only for stochastic configs")
-    run.add_argument("--max-iterations", type=int, default=None)
+    run.add_argument("--max-iterations", type=int, default=None,
+                     help="round cap: recorded rounds for cns and ic, clock "
+                          "rounds (infecting or not) for si; default none for "
+                          "cns and ic, 10 x node count for si")
     run.add_argument("--out", required=True, help="metrics CSV path, - for stdout")
 
     rep = sub.add_parser("reproduce", help="regenerate benchmark figure data")
@@ -87,11 +96,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     traces = report.results[config.model].traces
     truncated = sum(trace.truncated for trace in traces)
     if truncated:
-        print(
-            f"netdiffuse: warning: {truncated} of {len(traces)} runs stopped "
-            "with nodes unreached",
-            file=sys.stderr,
-        )
+        logger.warning("%d of %d runs stopped with nodes unreached", truncated, len(traces))
     return 0
 
 
@@ -118,20 +123,41 @@ _COMMANDS = {
 }
 
 
+class _Warnings(logging.Handler):
+    """Keeps the package's log warnings for one stderr line."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    package_log = logging.getLogger("netdiffuse")
+    warnings = _Warnings()
+    package_log.addHandler(warnings)
+    package_log.propagate = False
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"netdiffuse: {exc}", file=sys.stderr)
         return 1
     except (GraphError, OSError) as exc:
         print(f"netdiffuse: {exc}", file=sys.stderr)
         return 2
+    finally:
+        package_log.removeHandler(warnings)
+        package_log.propagate = True
+    if warnings.messages:
+        print("netdiffuse: warning: " + "; ".join(warnings.messages), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ that covers every reference value, line by line.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
@@ -59,16 +59,16 @@ class ExperimentConfig:
     runs: int = 1
     max_iterations: int | None = None
     dataset_name: str | None = None
+    # Built from ic_probability, si_beta and rng_seed; ModelParams range-checks them.
+    params: ModelParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r} (choose from {MODELS})")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if not 0.0 <= self.ic_probability <= 1.0:
-            raise ConfigError(f"ic probability not in [0, 1]: {self.ic_probability}")
-        if not 0.0 <= self.si_beta <= 1.0:
-            raise ConfigError(f"si beta not in [0, 1]: {self.si_beta}")
+        params = ModelParams(self.ic_probability, self.si_beta, self.rng_seed)
+        object.__setattr__(self, "params", params)
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ConfigError(f"max iterations must be >= 1, got {self.max_iterations}")
         if self.runs > 1 and not self.is_stochastic:
@@ -174,9 +174,8 @@ def _mean_series(
 def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Execute one config end to end; see module docstring for aggregation."""
     g = _load_run_graph(config.graph_path, config.seed_node)
-    params = ModelParams(config.ic_probability, config.si_beta, config.rng_seed)
     traces = [
-        _run_model(g, config.model, config.seed_node, params, r, config.max_iterations)
+        _run_model(g, config.model, config.seed_node, config.params, r, config.max_iterations)
         for r in range(config.runs)
     ]
     metrics = [evaluate_trace(g, t) for t in traces]

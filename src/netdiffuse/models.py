@@ -6,6 +6,14 @@ trace records the state after round t; the seed alone is iteration 0 and
 is never recorded as a row. Rounds that activate nothing are not
 recorded, which keeps cumulative coverage strictly increasing.
 
+The strong-tie cascade depends on the active set only through the final
+subtraction, so each node's targets are fixed: row v of the tie table's
+reach matrix. Its contributor route keeps only contributors adjacent to
+v or u, and those all lie in N(v) & N(w) or N(u) & N(w) for a common
+neighbor w; the overlap of connected common-neighbor pairs adds none of
+them. A round is then one OR over the reach rows of the last round's
+activations.
+
 Stochastic draws are ordered: actors by ascending internal index, then
 targets by ascending internal index, one uniform per (actor, target)
 attempt. Streams derive from (rng_seed, run_index), so repetitions of
@@ -19,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InactiveNodeError
+from .errors import ConfigError, InactiveNodeError
 from .graph import Graph
 from .ties import TieStrengthTable, build_tie_strength_table
 
@@ -47,10 +55,11 @@ class ModelParams:
     rng_seed: int = 42
 
     def __post_init__(self) -> None:
+        # Written so that nan fails too.
         if not 0.0 <= self.ic_probability <= 1.0:
-            raise ValueError(f"ic_probability not in [0, 1]: {self.ic_probability}")
+            raise ConfigError(f"ic probability not in [0, 1]: {self.ic_probability}")
         if not 0.0 <= self.si_beta <= 1.0:
-            raise ValueError(f"si_beta not in [0, 1]: {self.si_beta}")
+            raise ConfigError(f"si beta not in [0, 1]: {self.si_beta}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,7 @@ def _finish(
     model: str,
     seed: int,
     params: dict,
-    rounds: list[set[int]],
+    rounds: list[set[int]] | list[list[int]],
     truncated: bool,
 ) -> DiffusionTrace:
     iterations = tuple(
@@ -139,22 +148,12 @@ def cns_activate(
 
     Three routes combine: the node's own strongest ties; for each
     strongest-tie pair, the pair's contributors that either endpoint is
-    adjacent to; and inactive neighbors whose own strongest tie points
-    back at the node.
+    adjacent to; and neighbors whose own strongest tie points back at
+    the node. Their union is row v of ``table.reach``.
     """
     if v not in active:
         raise InactiveNodeError(f"node {g.label(v)!r} is not active")
-    targets: set[int] = set()
-    for u in g.neighbors_of(v):
-        if (v, u) in table.strong_ties:
-            targets.add(u)
-            members = table.contributor_members(v, u)
-            nv = g.neighbor_set(v)
-            nu = g.neighbor_set(u)
-            targets.update(z for z in members if z in nv or z in nu)
-        if u not in active and (u, v) in table.strong_ties:
-            targets.add(u)
-    return targets - set(active)
+    return set(np.flatnonzero(table.reach[v]).tolist()) - set(active)
 
 
 def run_cns(
@@ -163,28 +162,29 @@ def run_cns(
     table: TieStrengthTable | None = None,
     max_iterations: int | None = None,
 ) -> DiffusionTrace:
-    """Deterministic strong-tie cascade from one seed label."""
+    """Deterministic strong-tie cascade from one seed label.
+
+    A round activates the reach rows of the nodes the last round
+    activated, minus the active set.
+    """
     s = g.index(seed)
     if table is None:
         table = build_tie_strength_table(g)
-    active: set[int] = {s}
+    reach = table.reach
+    active = np.zeros(g.node_count, dtype=bool)
+    active[s] = True
     frontier = [s]
-    rounds: list[set[int]] = []
+    rounds: list[list[int]] = []
     truncated = False
     while frontier:
         if max_iterations is not None and len(rounds) >= max_iterations:
-            truncated = len(active) < g.node_count
+            truncated = not active.all()
             break
-        start = frozenset(active)
-        newly: set[int] = set()
-        for v in frontier:
-            newly |= cns_activate(g, table, v, start)
-        newly -= active
-        if not newly:
-            break
-        rounds.append(newly)
-        active |= newly
-        frontier = sorted(newly)
+        newly = reach[frontier].any(axis=0) & ~active
+        frontier = np.flatnonzero(newly).tolist()
+        if frontier:
+            rounds.append(frontier)
+            active |= newly
     params = {"max_iterations": max_iterations}
     return _finish(g, "cns", s, params, rounds, truncated)
 

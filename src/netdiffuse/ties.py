@@ -28,12 +28,24 @@ holds k, so rows ascend by v and, within a row, by neighbor.
 Tie strength ``phi`` normalizes ``rho`` by the maximum score on the
 source node's row, making it asymmetric; the ordered pairs that reach
 1.0 form the strong-tie set consumed by the diffusion models.
+
+The strong-tie cascade reads one more product of the table, the reach
+matrix: row v is every node an active v activates, before the active
+set is subtracted. It holds v's strong-tie targets u; for each strong
+(v, u) with C = N(v) & N(u), the set C | (N(w) & (N(v) | N(u))) for w
+in C, minus v and u; and each neighbor whose own strong tie points at
+v. The middle part is the contributors of (v, u) that either endpoint
+is adjacent to. The contributors found through a connected pair (w, z)
+of common neighbors lie in N(w), so that restriction leaves the
+pair-overlap term nothing to add, and a bitwise OR over the packed rows
+N(w) of each tie's common neighbors computes it.
 """
 from __future__ import annotations
 
 import csv
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -127,8 +139,9 @@ class TieStrengthTable:
     """Scores of every ordered edge, as arrays in ``adjacency`` order.
 
     ``terms[k]`` holds term_cn, term_v_side, term_u_side, term_sigma,
-    term_ww and rho of ordered edge k, ``phi[k]`` its tie strength, and
-    ``row_max[v]`` the largest rho on v's row (0 for an isolated node).
+    term_ww and rho of ordered edge k, ``phi[k]`` its tie strength,
+    ``strong[k]`` whether it is a strong tie, and ``row_max[v]`` the
+    largest rho on v's row (0 for an isolated node).
     """
 
     graph: Graph
@@ -136,7 +149,47 @@ class TieStrengthTable:
     terms: np.ndarray
     phi: np.ndarray
     row_max: np.ndarray
-    strong_ties: frozenset[tuple[int, int]]
+    strong: np.ndarray
+
+    @cached_property
+    def strong_ties(self) -> frozenset[tuple[int, int]]:
+        """The strong ties as ordered (v, u) index pairs."""
+        sources = self.adjacency.sources()[self.strong]
+        return frozenset(zip(sources.tolist(), self.adjacency.indices[self.strong].tolist()))
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """n-by-n bool matrix; row v is what an active v activates.
+
+        See the module docstring for the three parts of a row. Built on
+        first use from the adjacency rows packed 8 nodes a byte.
+        """
+        n = self.graph.node_count
+        sources, targets = self.adjacency.sources(), self.adjacency.indices
+        linked = np.zeros((n, n), dtype=bool)
+        linked[sources, targets] = True
+        rows = np.packbits(linked, axis=1, bitorder="little")
+        source, target = sources[self.strong], targets[self.strong]
+        common = rows[source] & rows[target]
+        # The common neighbors w of each strong tie, tie by tie.
+        tie, w = np.nonzero(np.unpackbits(common, axis=1, count=n, bitorder="little"))
+        counts = np.bincount(tie, minlength=len(source))
+        # reduceat gives an empty segment its start element: skip those ties.
+        has = counts > 0
+        span = np.zeros_like(common)
+        if has.any():
+            starts = (np.cumsum(counts) - counts)[has]
+            span[has] = np.bitwise_or.reduceat(rows[w], starts, axis=0)
+        span &= rows[source] | rows[target]
+        span |= common
+        packed = np.zeros_like(rows)
+        np.bitwise_or.at(packed, source, span)
+        reach = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+        # A span can hold its own tie's ends, as neighbors of some w: the
+        # target belongs to the row anyway, the source never does.
+        reach[source, target] = reach[target, source] = True
+        np.fill_diagonal(reach, False)
+        return reach
 
     def _position(self, v: int, u: int) -> int:
         """Index of the ordered edge (v, u) in the edge arrays."""
@@ -194,14 +247,13 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
     np.maximum.at(row_max, sources, rho)
     source_max = row_max[sources]
     phi = np.divide(rho, source_max, out=np.zeros(len(rho)), where=source_max > 0)
-    strong = (rho == source_max) & (rho > 0)
     return TieStrengthTable(
         graph=g,
         adjacency=adjacency,
         terms=terms,
         phi=phi,
         row_max=row_max,
-        strong_ties=frozenset(zip(sources[strong].tolist(), indices[strong].tolist())),
+        strong=(rho == source_max) & (rho > 0),
     )
 
 

@@ -1,0 +1,228 @@
+"""The strong-tie cascade against its set-based definition.
+
+``SetCascade`` is the cascade written directly from the rule: an active
+node activates its strong ties, the contributors of each strong tie that
+either endpoint is adjacent to, and the neighbors whose strong tie points
+back at it. It enumerates ``contributors`` per tie and shares nothing
+with the bitset kernel behind ``TieStrengthTable.reach``.
+"""
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netdiffuse.datasets import DATASET_NAMES
+from netdiffuse.graph import graph_from_edges, load_edge_list_path
+from netdiffuse.models import cns_activate, run_cns
+from netdiffuse.ties import build_tie_strength_table, contributors
+
+from conftest import DATA_DIR, complete_graph, er_edges, random_graphs, star_graph
+
+
+class SetCascade:
+    """Set-based cascade over one graph and its tie table."""
+
+    def __init__(self, g, table):
+        self.g = g
+        self.table = table
+        self._pulled = {}
+
+    def pulled(self, v, u):
+        """u and the contributors of the strong tie (v, u) adjacent to v or u."""
+        if (v, u) not in self._pulled:
+            nv = self.g.neighbor_set(v)
+            nu = self.g.neighbor_set(u)
+            members = contributors(self.g, v, u).members
+            self._pulled[(v, u)] = {u} | {z for z in members if z in nv or z in nu}
+        return self._pulled[(v, u)]
+
+    def activate(self, v, active):
+        """What ``v`` activates in one round, minus the active set."""
+        strong = self.table.strong_ties
+        targets = set()
+        for u in self.g.neighbors_of(v):
+            if (v, u) in strong:
+                targets |= self.pulled(v, u)
+            if u not in active and (u, v) in strong:
+                targets.add(u)
+        return targets - set(active)
+
+    def run(self, seed, max_iterations=None):
+        """(label set of each recorded round, truncated)."""
+        s = self.g.index(seed)
+        active = {s}
+        frontier = [s]
+        rounds = []
+        truncated = False
+        while frontier:
+            if max_iterations is not None and len(rounds) >= max_iterations:
+                truncated = len(active) < self.g.node_count
+                break
+            start = frozenset(active)
+            newly = set()
+            for v in frontier:
+                newly |= self.activate(v, start)
+            newly -= active
+            if not newly:
+                break
+            rounds.append(newly)
+            active |= newly
+            frontier = sorted(newly)
+        return [{self.g.label(v) for v in r} for r in rounds], truncated
+
+
+def assert_reach_rows_match(g, table, oracle):
+    reach = table.reach
+    assert reach.shape == (g.node_count, g.node_count)
+    assert reach.dtype == bool
+    for v in range(g.node_count):
+        assert set(np.flatnonzero(reach[v]).tolist()) == oracle.activate(v, {v}), v
+
+
+def assert_cascade_matches(g, table, oracle, seed, max_iterations=None):
+    trace = run_cns(g, seed, table=table, max_iterations=max_iterations)
+    rounds, truncated = oracle.run(seed, max_iterations)
+    assert [set(it.newly_active) for it in trace.iterations] == rounds
+    assert [it.index for it in trace.iterations] == list(range(1, len(rounds) + 1))
+    assert trace.truncated == truncated
+
+
+@st.composite
+def graphs_with_leaves(draw):
+    """A random graph with pendant nodes hung on some of its nodes."""
+    g = draw(random_graphs(max_nodes=14))
+    edges = [(g.label(v), g.label(u)) for v, u in g.edges()]
+    hosts = draw(st.lists(st.integers(0, g.node_count - 1), min_size=1, max_size=5))
+    edges += [(g.label(h), f"leaf{i}") for i, h in enumerate(hosts)]
+    return graph_from_edges(edges)
+
+
+cascade_graphs = st.one_of(
+    random_graphs(),
+    graphs_with_leaves(),
+    st.integers(1, 8).map(star_graph),
+    st.integers(2, 7).map(complete_graph),
+)
+
+
+class TestReachRows:
+    @settings(max_examples=80, deadline=None)
+    @given(cascade_graphs)
+    def test_rows_match_single_node_activation(self, g):
+        table = build_tie_strength_table(g)
+        assert_reach_rows_match(g, table, SetCascade(g, table))
+
+    def test_isolated_node_reaches_nothing(self):
+        g = graph_from_edges([("a", "a"), ("b", "c")])  # a is isolated
+        table = build_tie_strength_table(g)
+        assert not table.reach[g.index("a")].any()
+        assert not table.reach[:, g.index("a")].any()
+
+    def test_word_boundaries(self):
+        # rows are packed 8 nodes a byte: these sizes end a row on a
+        # byte edge and part way into a byte
+        for n in (63, 64, 65, 129):
+            rng = random.Random(n)
+            g = graph_from_edges(er_edges(n, 0.15, rng))
+            table = build_tie_strength_table(g)
+            assert_reach_rows_match(g, table, SetCascade(g, table))
+
+    def test_reach_is_lazy(self):
+        table = build_tie_strength_table(complete_graph(4))
+        assert "reach" not in vars(table)
+        table.reach
+        assert "reach" in vars(table)
+
+    def test_activate_reads_reach_minus_active(self, karate):
+        table = build_tie_strength_table(karate)
+        v = karate.index("2")
+        row = set(np.flatnonzero(table.reach[v]).tolist())
+        active = {v, *sorted(row)[:3]}
+        assert cns_activate(karate, table, v, active) == row - active
+
+
+class TestCascadeTraces:
+    @settings(max_examples=80, deadline=None)
+    @given(cascade_graphs, st.data())
+    def test_matches_set_cascade(self, g, data):
+        seed = g.label(data.draw(st.integers(0, g.node_count - 1)))
+        max_iterations = data.draw(st.sampled_from([None, 1, 2, 3]))
+        table = build_tie_strength_table(g)
+        assert_cascade_matches(g, table, SetCascade(g, table), seed, max_iterations)
+
+
+# Every node of the three small datasets seeds a cascade; polblogs gets
+# its configured seed and every 97th node.
+POLBLOGS_SEED_STEP = 97
+
+
+@pytest.fixture(scope="module")
+def dataset_tables():
+    out = {}
+    for name in DATASET_NAMES:
+        g = load_edge_list_path(DATA_DIR / f"{name}.txt")
+        table = build_tie_strength_table(g)
+        out[name] = (g, table, SetCascade(g, table))
+    return out
+
+
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_dataset_reach_rows(dataset_tables, name):
+    assert_reach_rows_match(*dataset_tables[name])
+
+
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_dataset_cascades(dataset_tables, name):
+    g, table, oracle = dataset_tables[name]
+    if name == "polblogs":
+        seeds = ["693"] + [g.label(v) for v in range(0, g.node_count, POLBLOGS_SEED_STEP)]
+        caps = (None,)
+    else:
+        seeds = list(g.labels)
+        caps = (None, 1, 2)
+    for seed in seeds:
+        for cap in caps:
+            assert_cascade_matches(g, table, oracle, seed, cap)
+
+
+class TestRestrictionIdentity:
+    """Contributors adjacent to v or u need no pair-overlap term.
+
+    For C = N(v) & N(u), the contributors of (v, u) that lie in
+    N(v) | N(u) are C together with N(w) & (N(v) | N(u)) for w in C,
+    minus v and u: a member found through a connected pair (w, z) of C
+    lies in N(w), so the single-neighbor term already holds it.
+    """
+
+    @staticmethod
+    def restricted(g, v, u):
+        nv, nu = g.neighbor_set(v), g.neighbor_set(u)
+        common = nv & nu
+        out = set(common)
+        for w in common:
+            out |= g.neighbor_set(w) & (nv | nu)
+        return out - {v, u}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(random_graphs(), graphs_with_leaves()))
+    def test_identity(self, g):
+        for a, b in g.edges():
+            for v, u in ((a, b), (b, a)):
+                nvu = g.neighbor_set(v) | g.neighbor_set(u)
+                filtered = contributors(g, v, u).members & nvu
+                assert filtered == self.restricted(g, v, u)
+
+    def test_pair_overlap_member_outside_both_neighborhoods(self):
+        # x counts through the connected pair (2, 3) but touches neither
+        # endpoint, so the restriction drops it
+        g = graph_from_edges(
+            [("0", "1"), ("0", "2"), ("0", "3"), ("1", "2"), ("1", "3"),
+             ("2", "3"), ("2", "x"), ("3", "x")]
+        )
+        x = g.index("x")
+        assert x in contributors(g, 0, 1).members
+        assert self.restricted(g, 0, 1) == {2, 3}

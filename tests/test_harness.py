@@ -2,11 +2,22 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import netdiffuse
 from netdiffuse.cli import main
+from netdiffuse.datasets import DATASET_NAMES
 from netdiffuse.errors import (
     ConfigError,
     GraphError,
@@ -22,6 +33,17 @@ from netdiffuse.harness import (
     write_report_csv,
 )
 from netdiffuse.metrics import METRICS_COLUMNS, evaluate_trace
+from netdiffuse.models import ModelParams
+
+# sha256 of `netdiffuse run --model cns` on each bundled edge list with
+# its seed from data/seeds_example.txt; any change to a cascade round or
+# a horizon metric moves it.
+CNS_RUN_SHA256 = {
+    ("karate", "2"): "641efbfa4af69882fb9bdf12955957d700e8c7d06ad152ce70013faaabac0a6b",
+    ("lesmis", "Myriel"): "c3bfc93551cadca695c4bb5f9488d7cdd7a33133f6307f637630ba25e8a76a04",
+    ("jazz", "68"): "e759821fae03f9005c149ed9267443473c45b9a01487001b65c7f08ad0e3798c",
+    ("polblogs", "693"): "ac9742d0a97fe7cf8fe566117f43574f84186d6e42905827856b1bfab01b775d",
+}
 
 
 def write_graph(path, text):
@@ -61,6 +83,24 @@ class TestConfigValidation:
         base = {"graph_path": karate_path, "model": "si", "seed_node": "2"}
         with pytest.raises(ConfigError):
             ExperimentConfig(**{**base, **kwargs})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"ic_probability": 2.0}, "ic probability not in [0, 1]: 2.0"),
+            ({"si_beta": -1.0}, "si beta not in [0, 1]: -1.0"),
+            ({"ic_probability": float("nan")}, "ic probability not in [0, 1]: nan"),
+            ({"si_beta": float("nan")}, "si beta not in [0, 1]: nan"),
+        ],
+    )
+    def test_model_params_range_is_a_config_error(self, kwargs, message):
+        with pytest.raises(ConfigError) as exc:
+            ModelParams(**kwargs)
+        assert str(exc.value) == message
+
+    def test_config_carries_its_model_params(self, karate_path):
+        config = ExperimentConfig(karate_path, "ic", "2", ic_probability=0.25, rng_seed=9)
+        assert config.params == ModelParams(0.25, 0.5, 9)
 
     def test_dataset_name_defaults_to_stem(self, karate_path):
         config = ExperimentConfig(karate_path, "cns", "2")
@@ -204,6 +244,36 @@ class TestCli:
         assert main(["run", "--graph", "g", "--model", "nope",
                      "--seed-node", "a", "--out", "-"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ic-p", "2"], "ic probability not in [0, 1]: 2.0"),
+            (["--si-beta", "-1"], "si beta not in [0, 1]: -1.0"),
+            (["--ic-p", "nan"], "ic probability not in [0, 1]: nan"),
+            (["--si-beta", "nan"], "si beta not in [0, 1]: nan"),
+        ],
+    )
+    def test_probability_out_of_range_is_exit_1(self, karate_path, capsys, flags, message):
+        code = main(
+            ["run", "--graph", karate_path, "--model", "cns", "--seed-node", "2",
+             "--out", "-", *flags]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"netdiffuse: {message}\n"
+
+    @pytest.mark.parametrize("dataset, seed", sorted(CNS_RUN_SHA256))
+    def test_cns_run_csv_byte_identical(self, data_dir, tmp_path, dataset, seed):
+        out = tmp_path / "cns.csv"
+        code = main(
+            ["run", "--graph", str(data_dir / f"{dataset}.txt"), "--model", "cns",
+             "--seed-node", seed, "--out", str(out)]
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == CNS_RUN_SHA256[(dataset, seed)]
+
     def test_runs_on_deterministic_model_is_usage_error(self, karate_path, capsys):
         code = main(
             ["run", "--graph", karate_path, "--model", "cns", "--seed-node", "2",
@@ -339,3 +409,142 @@ class TestReproduceOutputs:
         assert len(rows) == 12
         karate_cns = [r for r in rows if r["dataset"] == "karate" and r["model"] == "cns"]
         assert karate_cns[0]["iterations"] == "3"
+
+
+# Inputs for the robustness properties: raw bytes, and text built from a
+# few tokens so that parsing often succeeds and the run goes further.
+_LABELS = ["a", "b", "c", "é"]
+_edge_line = st.tuples(st.sampled_from(_LABELS), st.sampled_from(_LABELS)).map(" ".join)
+_noise_line = st.sampled_from(["", "# note", "a", "a b c", "\t", "a\x00 b", "\u2028"])
+edge_list_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.lists(_edge_line, min_size=1, max_size=8).map("\n".join).map(str.encode),
+    st.lists(st.one_of(_edge_line, _edge_line, _noise_line), max_size=10)
+    .map("\n".join)
+    .map(str.encode),
+)
+
+
+@st.composite
+def seeds_file_bytes(draw):
+    if draw(st.sampled_from([True, False, False, False])):
+        return draw(st.binary(max_size=60))
+    names = list(DATASET_NAMES)
+    change = draw(st.sampled_from([None, None, None, "drop", "bogus"]))
+    if change == "drop":
+        names.remove(draw(st.sampled_from(DATASET_NAMES)))
+    elif change == "bogus":
+        names.append("bogus")
+    # One label for every dataset: the same graph backs all four names.
+    label = draw(st.sampled_from(_LABELS + ["zz"]))
+    return "".join(f"{name}={label}\n" for name in names).encode()
+
+
+def _optional(*values):
+    return st.one_of(st.none(), st.none(), st.sampled_from(values))
+
+
+run_flags = st.fixed_dictionaries(
+    {
+        "--model": st.sampled_from(["cns", "ic", "si", "bogus"]),
+        "--seed-node": st.sampled_from(_LABELS + ["zz"]),
+        "--ic-p": _optional("0.5", "0", "1", "2", "nan"),
+        "--si-beta": _optional("1", "0.3", "0", "-1", "nan"),
+        "--rng-seed": _optional("-3", "7", "x"),
+        "--runs": _optional("2", "1", "0", "x"),
+        "--max-iterations": _optional("1", "3", "0", "x"),
+    }
+)
+
+
+def _flag_list(flags):
+    return [part for key, value in flags.items() if value is not None for part in (key, value)]
+
+
+def _run_cli(argv):
+    """(exit code, stderr) of one in-process CLI call."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1, err
+
+
+class TestCliRobustness:
+    """Any input file and flag combination ends with exit 0, 1 or 2 and
+    at most one stderr line."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_list_bytes, run_flags, st.booleans())
+    def test_run(self, graph_bytes, flags, to_stdout):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = Path(tmp, "g.txt")
+            graph.write_bytes(graph_bytes)
+            out = "-" if to_stdout else str(Path(tmp, "out.csv"))
+            argv = ["run", "--graph", str(graph), "--out", out, *_flag_list(flags)]
+            code, err = _run_cli(argv)
+        _assert_clean_exit(code, err)
+
+    @settings(max_examples=25, deadline=None)
+    @given(edge_list_bytes, st.booleans())
+    def test_tie_table(self, graph_bytes, to_stdout):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = Path(tmp, "g.txt")
+            graph.write_bytes(graph_bytes)
+            out = "-" if to_stdout else str(Path(tmp, "ties.csv"))
+            code, err = _run_cli(["tie-table", "--graph", str(graph), "--out", out])
+        _assert_clean_exit(code, err)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        edge_list_bytes,
+        seeds_file_bytes(),
+        st.one_of(st.none(), st.none(), st.none(), st.sampled_from(DATASET_NAMES)),
+        st.sampled_from([True, True, True, False]),
+    )
+    def test_reproduce(self, graph_bytes, seeds_bytes, absent, with_seeds):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in DATASET_NAMES:
+                if name != absent:
+                    Path(tmp, f"{name}.txt").write_bytes(graph_bytes)
+            argv = ["reproduce", "--data-dir", tmp, "--out-dir", str(Path(tmp, "out"))]
+            if with_seeds:
+                Path(tmp, "seeds.txt").write_bytes(seeds_bytes)
+                argv += ["--seeds", str(Path(tmp, "seeds.txt"))]
+            code, err = _run_cli(argv)
+        _assert_clean_exit(code, err)
+
+
+def test_reproduce_on_resized_datasets_prints_one_line(tmp_path):
+    """Datasets whose sizes differ from the registry give one stderr line.
+
+    Runs the CLI in a fresh interpreter: under pytest the root logger has
+    handlers, which would hide log records that reach stderr in a real run.
+    """
+    for name in DATASET_NAMES:
+        (tmp_path / f"{name}.txt").write_text("a b\nb c\n", encoding="utf-8")
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("karate=a\nlesmis=a\njazz=b\npolblogs=c\n", encoding="utf-8")
+    src = str(Path(netdiffuse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "netdiffuse.cli", "reproduce", "--data-dir", str(tmp_path),
+         "--out-dir", str(tmp_path / "out"), "--seeds", str(seeds)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stderr.splitlines() == [
+        "netdiffuse: warning: "
+        "dataset karate: loaded 3 nodes / 2 edges, registry expects 34 / 78; "
+        "dataset lesmis: loaded 3 nodes / 2 edges, registry expects 77 / 254; "
+        "dataset jazz: loaded 3 nodes / 2 edges, registry expects 198 / 2742; "
+        "dataset polblogs: loaded 3 nodes / 2 edges, registry expects 1224 / 16718"
+    ]
