@@ -33,6 +33,7 @@ __all__ = [
     "induced_subgraph",
     "bfs_distances",
     "adjacency_csr",
+    "adjacency_bits",
     "distance_summary",
     "all_pairs_distances",
     "diameter",
@@ -153,6 +154,16 @@ class Graph:
         )
         return Adjacency(indptr, indices)
 
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        adjacency = self._csr
+        targets = adjacency.indices
+        rows = np.zeros((self.node_count, 8 * -(-self.node_count // 64)), dtype=np.uint8)
+        np.bitwise_or.at(
+            rows, (adjacency.sources(), targets >> 3), (1 << (targets & 7)).astype(np.uint8)
+        )
+        return rows
+
 
 def _build(labels: list[str], edge_indices: set[tuple[int, int]]) -> Graph:
     adjacency: list[list[int]] = [[] for _ in labels]
@@ -266,7 +277,7 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def largest_connected_component(g: Graph) -> Graph:
-    """Induced subgraph on the largest component.
+    """Induced subgraph on the largest component; ``g`` itself if connected.
 
     Ties between equal-size components go to the one containing the
     smallest internal index (the first one found scanning indices).
@@ -275,7 +286,7 @@ def largest_connected_component(g: Graph) -> Graph:
     for component in connected_components(g):
         if best is None or len(component) > len(best):
             best = component
-    if best is None:
+    if best is None or len(best) == g.node_count:
         return g
     return induced_subgraph(g, best)
 
@@ -302,6 +313,17 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
 def adjacency_csr(g: Graph) -> Adjacency:
     """The adjacency of ``g`` in CSR form, built once per graph."""
     return g._csr
+
+
+def adjacency_bits(g: Graph) -> np.ndarray:
+    """The adjacency rows of ``g`` packed 8 nodes a byte, built once per graph.
+
+    An (n, 8 * ceil(n / 64)) uint8 array: in row v, bit u & 7 of byte
+    u >> 3 is set iff u is a neighbor of v, the order of
+    ``np.packbits(..., bitorder="little")``. Rows fill whole 64-bit words,
+    so ``.view(np.uint64)`` gives word-wise rows for popcounts.
+    """
+    return g._bits
 
 
 def _bfs_levels(adjacency: Adjacency) -> Iterator[tuple[int, np.ndarray]]:

@@ -21,6 +21,7 @@ from netdiffuse.errors import (
     UnknownNodeError,
 )
 from netdiffuse.graph import (
+    adjacency_bits,
     adjacency_csr,
     all_pairs_distances,
     average_degree,
@@ -185,6 +186,17 @@ class TestComponents:
         assert lcc.labels == karate.labels
         assert lcc.edge_count == karate.edge_count
 
+    def test_connected_graph_returned_as_is(self, karate):
+        assert largest_connected_component(karate) is karate
+
+    @settings(max_examples=50, deadline=None)
+    @given(random_graphs())
+    def test_equals_induced_subgraph(self, g):
+        components = connected_components(g)
+        lcc = largest_connected_component(g)
+        assert lcc == induced_subgraph(g, max(components, key=len))
+        assert (lcc is g) == (len(components) == 1)
+
     @settings(max_examples=50, deadline=None)
     @given(random_graphs())
     def test_components_partition_nodes(self, g):
@@ -261,6 +273,30 @@ class TestInducedAdjacency:
             st.lists(st.integers(0, g.node_count - 1), min_size=1, max_size=40)
         )
         self.induced(g, members)
+
+
+class TestAdjacencyBits:
+    """Packed rows against ``np.packbits`` of the dense adjacency."""
+
+    @staticmethod
+    def check(g):
+        n = g.node_count
+        dense = np.zeros((n, 64 * -(-n // 64)), dtype=bool)
+        for v in range(n):
+            dense[v, list(g.neighbors_of(v))] = True
+        bits = adjacency_bits(g)
+        assert np.array_equal(bits, np.packbits(dense, axis=1, bitorder="little"))
+        assert adjacency_bits(g) is bits
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_word_boundaries(self, n):
+        edges = [(str(i), str(i + 1)) for i in range(n - 1)] + [("0", str(n - 1))]
+        self.check(graph_from_edges(edges))
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_graphs(max_nodes=70))
+    def test_random_graphs(self, g):
+        self.check(g)
 
 
 def test_imports_load_no_scipy():

@@ -1,14 +1,25 @@
 """Common-neighborhood scoring, tie strength and the strong-tie set."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
+import random
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from netdiffuse import ties
 from netdiffuse.errors import NotAnEdgeError
-from netdiffuse.graph import graph_from_text, load_edge_list_path
+from netdiffuse.graph import (
+    adjacency_csr,
+    graph_from_edges,
+    graph_from_text,
+    load_edge_list_path,
+)
 from netdiffuse.ties import (
     TIE_TABLE_COLUMNS,
     build_tie_strength_table,
@@ -17,7 +28,7 @@ from netdiffuse.ties import (
     tie_strength,
 )
 
-from conftest import DATA_DIR, complete_graph, random_graphs, star_graph
+from conftest import DATA_DIR, complete_graph, er_edges, random_graphs, star_graph
 
 # sha256 of `netdiffuse tie-table` on each bundled edge list (whole file,
 # no component reduction); any change to a score or its format moves it.
@@ -119,6 +130,136 @@ class TestBreakdown:
         table = build_tie_strength_table(g)
         for v, u in g.edges():
             assert table.rho(v, u) == table.rho(u, v)
+
+
+def heavy_tailed_graph(n, hub_degrees, rng):
+    """Preferential attachment, two links per new node, plus hubs.
+
+    Hub i is an extra node linked to ``hub_degrees[i]`` nodes drawn
+    uniformly, so a few blocks are far larger than all the others.
+    """
+    edges = [("0", "1"), ("1", "2"), ("2", "0")]
+    ends = [0, 1, 1, 2, 2, 0]
+    for v in range(3, n):
+        targets = set()
+        while len(targets) < 2:
+            targets.add(rng.choice(ends))
+        for u in targets:
+            edges.append((str(v), str(u)))
+            ends += [v, u]
+    for i, degree in enumerate(hub_degrees):
+        edges += [(f"hub{i}", str(u)) for u in rng.sample(range(n), degree)]
+    return graph_from_edges(edges)
+
+
+def star_with_chords(leaves, chords):
+    """A star whose first ``chords + 1`` leaves also form a path."""
+    edges = [("c", f"l{i}") for i in range(leaves)]
+    edges += [(f"l{i}", f"l{i + 1}") for i in range(chords)]
+    return graph_from_edges(edges)
+
+
+def with_isolated_and_leaves(edges, isolated, leaves, rng):
+    """``edges`` plus isolated nodes and pendant leaves on random hosts.
+
+    Node 0 keeps its edges: the isolated nodes come after it.
+    """
+    hosts = sorted({label for edge in edges for label in edge})
+    edges = list(edges)
+    edges += [(f"iso{i}", f"iso{i}") for i in range(isolated)]
+    edges += [(rng.choice(hosts), f"leaf{i}") for i in range(leaves)]
+    return graph_from_edges(edges)
+
+
+@st.composite
+def mixed_shapes(draw):
+    """Random, star-with-chords, heavy-tailed and leafy graphs."""
+    seed = draw(st.integers(0, 2**20))
+    rng = random.Random(seed)
+    shape = draw(st.sampled_from(["random", "star", "heavy", "leafy"]))
+    if shape == "random":
+        return draw(random_graphs(max_nodes=24))
+    if shape == "star":
+        leaves = draw(st.integers(1, 30))
+        return star_with_chords(leaves, draw(st.integers(0, leaves - 1)))
+    if shape == "heavy":
+        n = draw(st.integers(4, 30))
+        hubs = draw(st.lists(st.integers(1, n), max_size=3))
+        return heavy_tailed_graph(n, hubs, rng)
+    n = draw(st.integers(2, 16))
+    edges = er_edges(n, draw(st.sampled_from([0.2, 0.5])), rng)
+    return with_isolated_and_leaves(
+        edges, draw(st.integers(0, 4)), draw(st.integers(0, 6)), rng
+    )
+
+
+def assert_matches_oracle(g):
+    table = build_tie_strength_table(g)
+    for v in range(g.node_count):
+        for u in g.neighbors_of(v):
+            assert as_tuple(table.breakdown(v, u)) == oracle_breakdown(g, v, u), (v, u)
+
+
+def greedy_chunks(degree, limit):
+    """The degree chunks cut one node at a time (Python's sort is stable)."""
+    chunks, current = [], []
+    for v in sorted(range(len(degree)), key=degree.__getitem__):
+        if current and (len(current) + 1) * degree[v] ** 2 > limit:
+            chunks.append(current)
+            current = []
+        current.append(v)
+    return chunks + [current] if current else chunks
+
+
+def degree_chunks(g):
+    return [c.tolist() for c in ties._degree_chunks(np.diff(adjacency_csr(g).indptr))]
+
+
+class TestBlockKernel:
+    """Every ordered edge against the oracle, on graphs whose neighborhood
+    blocks differ widely in size."""
+
+    def test_heavy_tailed(self):
+        g = heavy_tailed_graph(220, [190, 70, 45], random.Random(5))
+        chunks = degree_chunks(g)
+        assert len(chunks) >= 4
+        assert g.degree(chunks[-1][0]) ** 2 > ties._BLOCK_CELLS
+        assert_matches_oracle(g)
+
+    @pytest.mark.parametrize("chords", [0, 40])
+    def test_star_300_leaves(self, chords):
+        g = star_with_chords(300, chords)
+        hub = g.index("c")
+        assert g.degree(hub) ** 2 > ties._BLOCK_CELLS
+        assert degree_chunks(g)[-1] == [hub]
+        assert_matches_oracle(g)
+
+    def test_isolated_nodes_and_leaves(self):
+        rng = random.Random(11)
+        edges = er_edges(40, 0.15, rng)
+        assert_matches_oracle(with_isolated_and_leaves(edges, 5, 12, rng))
+
+    @settings(max_examples=120, deadline=None)
+    @given(mixed_shapes(), st.sampled_from([1, 4, 30, 200, 1 << 15]))
+    def test_mixed_shapes(self, g, limit):
+        # Small limits cut even small graphs into many chunks.
+        with mock.patch.object(ties, "_BLOCK_CELLS", limit):
+            assert_matches_oracle(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, 40), max_size=60),
+        st.sampled_from([1, 4, 30, 200, 1 << 15]),
+    )
+    # A chunk that fills the limit exactly, and ties that an unstable
+    # sort reorders (numpy sorts 16 elements or fewer stably either way).
+    @example([1, 1, 1, 1, 1], 4)
+    @example([2, 2, 2], 8)
+    @example([1, 0] * 12, 1 << 15)
+    def test_chunks_match_greedy_cut(self, degree, limit):
+        with mock.patch.object(ties, "_BLOCK_CELLS", limit):
+            chunks = list(ties._degree_chunks(np.array(degree, dtype=np.int64)))
+        assert [c.tolist() for c in chunks] == greedy_chunks(degree, limit)
 
 
 class TestContributors:
@@ -243,6 +384,42 @@ class TestTieStrength:
             }
 
 
+def oracle_dump(table, stream):
+    """The row-by-row dump: a tuple-key sort and one writerow per edge."""
+    labels = table.graph.labels
+    sources = table.adjacency.sources().tolist()
+    targets = table.adjacency.indices.tolist()
+    terms = table.terms.tolist()
+    phi = table.phi.tolist()
+    order = sorted(
+        range(len(targets)), key=lambda k: (labels[sources[k]], labels[targets[k]])
+    )
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(TIE_TABLE_COLUMNS)
+    for k in order:
+        writer.writerow(
+            [labels[sources[k]], labels[targets[k]], *terms[k], f"{phi[k]:.6f}"]
+        )
+
+
+def dumped(table, dump=dump_tie_table):
+    buf = io.StringIO()
+    dump(table, buf)
+    return buf.getvalue()
+
+
+# Characters csv quoting reacts to, quote-like ones it does not, digits
+# (label order differs from numeric order) and non-ASCII letters.
+LABEL_ALPHABET = ',"\'0123456789abéßжλ'
+
+
+@st.composite
+def labelled_graphs(draw):
+    labels = st.text(LABEL_ALPHABET, max_size=4)
+    pairs = draw(st.lists(st.tuples(labels, labels), min_size=1, max_size=30))
+    return graph_from_edges(pairs)
+
+
 class TestDump:
     def test_format_and_sorting(self):
         g = graph_from_text("b a\nb c")
@@ -264,6 +441,24 @@ class TestDump:
         assert first[:2] == ["0", "1"]
         assert first[2:8] == ["1", "1", "1", "0", "0", "3"]
         assert first[8] == "1.000000"
+
+    def test_labels_quoted_like_csv_writer(self):
+        g = graph_from_edges([("a,b", '"q"'), ('"q"', "x'y"), ("x'y", "a,b")])
+        lines = dumped(build_tie_strength_table(g)).splitlines()[1:]
+        assert [line.rsplit(",", 7)[0] for line in lines] == [
+            '"""q""","a,b"',
+            '"""q""",x\'y',
+            '"a,b","""q"""',
+            '"a,b",x\'y',
+            'x\'y,"""q"""',
+            'x\'y,"a,b"',
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(labelled_graphs())
+    def test_matches_row_by_row_oracle(self, g):
+        table = build_tie_strength_table(g)
+        assert dumped(table) == dumped(table, oracle_dump)
 
     @pytest.mark.parametrize("name", sorted(TIE_TABLE_SHA256))
     def test_bundled_datasets_byte_identical(self, name):
