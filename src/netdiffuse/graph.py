@@ -1,16 +1,18 @@
 """Immutable undirected simple graph with loading and distance primitives.
 
-Nodes carry dense 0-based internal indices assigned in first-appearance
-order; the original dataset labels are kept as opaque strings. All
-functions here are pure and the graph is safe to share between threads.
+A graph is its labels plus one CSR adjacency. Nodes carry dense 0-based
+internal indices assigned in first-appearance order; the original
+dataset labels are kept as opaque strings. The label map, Python
+neighbor rows and sets, and packed bit rows are built on first use,
+never on load. All functions here are pure and the graph is safe to
+share between threads.
 """
 from __future__ import annotations
 
 import io
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -32,7 +34,6 @@ __all__ = [
     "largest_connected_component",
     "induced_subgraph",
     "bfs_distances",
-    "adjacency_csr",
     "adjacency_bits",
     "distance_summary",
     "all_pairs_distances",
@@ -48,7 +49,8 @@ class Adjacency(NamedTuple):
 
     Row v is ``indices[indptr[v]:indptr[v + 1]]``, the neighbors of v in
     ascending order; position k is the ordered edge (sources()[k],
-    indices[k]), so edges ascend by source and then by target.
+    indices[k]), so edges ascend by source and then by target. Both
+    arrays are int64.
     """
 
     indptr: np.ndarray
@@ -62,12 +64,18 @@ class Adjacency(NamedTuple):
         """The source node of every ordered edge."""
         return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
 
-    def induced(self, members: Sequence[int] | np.ndarray) -> Adjacency:
-        """Rows and columns of ``members``, renumbered in ascending order.
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """The rows of ``nodes`` laid end to end, in the order given."""
+        starts = self.indptr[nodes]
+        lengths = self.indptr[nodes + 1] - starts
+        # Slot i of the result, in a row whose first slot is o, reads
+        # indices[start + i - o].
+        shift = starts - (np.cumsum(lengths) - lengths)
+        return self.indices[np.repeat(shift, lengths) + np.arange(lengths.sum())]
 
-        Keeps exactly the edges with both ends among the members, like
-        ``adjacency_csr(induced_subgraph(g, members))``.
-        """
+    def induced(self, members: Sequence[int] | np.ndarray) -> Adjacency:
+        """Rows and columns of ``members``, renumbered in ascending order:
+        exactly the edges with both ends among the members."""
         keep = np.unique(np.asarray(members, dtype=np.int64))
         new_index = np.full(self.node_count, -1, dtype=np.int64)
         new_index[keep] = np.arange(len(keep))
@@ -79,29 +87,27 @@ class Adjacency(NamedTuple):
         return Adjacency(indptr, targets[inside])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph: sorted adjacency lists plus a label map.
+    """Undirected simple graph: a label per node plus a CSR adjacency.
 
-    ``labels[i]`` is the original label of internal node ``i`` and the map
-    is a bijection. Adjacency is symmetric, has no self loops and no
-    duplicate edges.
+    The labels are unique. The adjacency is symmetric, has no self loops
+    and no duplicate edges. Two graphs are equal when their labels and
+    both adjacency arrays are.
     """
 
     labels: tuple[str, ...]
-    neighbors: tuple[tuple[int, ...], ...]
-    _index_of: dict[str, int] = field(init=False, repr=False, compare=False)
-    _neighbor_sets: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    adjacency: Adjacency
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index_of", {label: i for i, label in enumerate(self.labels)}
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.labels == other.labels and all(
+            map(np.array_equal, self.adjacency, other.adjacency)
         )
-        object.__setattr__(
-            self, "_neighbor_sets", tuple(frozenset(ns) for ns in self.neighbors)
-        )
+
+    def __hash__(self) -> int:
+        return hash((self.labels, len(self.adjacency.indices)))
 
     @property
     def node_count(self) -> int:
@@ -109,13 +115,13 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(ns) for ns in self.neighbors) // 2
+        return len(self.adjacency.indices) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        return int(self.adjacency.indptr[v + 1] - self.adjacency.indptr[v])
 
     def neighbors_of(self, v: int) -> tuple[int, ...]:
-        return self.neighbors[v]
+        return self._neighbor_rows[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._neighbor_sets[v]
@@ -139,41 +145,31 @@ class Graph:
         return label in self._index_of
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each edge once as an index pair (v, u) with v < u."""
-        for v, ns in enumerate(self.neighbors):
-            for u in ns:
-                if v < u:
-                    yield v, u
+        """Each edge once as an index pair (v, u) with v < u, ascending."""
+        sources, targets = self.adjacency.sources(), self.adjacency.indices
+        upper = sources < targets
+        return zip(sources[upper].tolist(), targets[upper].tolist())
 
     @cached_property
-    def _csr(self) -> Adjacency:
-        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.cumsum([len(ns) for ns in self.neighbors], out=indptr[1:])
-        indices = np.fromiter(
-            chain.from_iterable(self.neighbors), dtype=np.int64, count=int(indptr[-1])
-        )
-        return Adjacency(indptr, indices)
+    def _index_of(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
+    @cached_property
+    def _neighbor_rows(self) -> tuple[tuple[int, ...], ...]:
+        flat = self.adjacency.indices.tolist()
+        bounds = self.adjacency.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self._neighbor_rows))
 
     @cached_property
     def _bits(self) -> np.ndarray:
-        adjacency = self._csr
-        targets = adjacency.indices
+        sources, targets = self.adjacency.sources(), self.adjacency.indices
         rows = np.zeros((self.node_count, 8 * -(-self.node_count // 64)), dtype=np.uint8)
-        np.bitwise_or.at(
-            rows, (adjacency.sources(), targets >> 3), (1 << (targets & 7)).astype(np.uint8)
-        )
+        np.bitwise_or.at(rows, (sources, targets >> 3), (1 << (targets & 7)).astype(np.uint8))
         return rows
-
-
-def _build(labels: list[str], edge_indices: set[tuple[int, int]]) -> Graph:
-    adjacency: list[list[int]] = [[] for _ in labels]
-    for v, u in edge_indices:
-        adjacency[v].append(u)
-        adjacency[u].append(v)
-    return Graph(
-        labels=tuple(labels),
-        neighbors=tuple(tuple(sorted(ns)) for ns in adjacency),
-    )
 
 
 def graph_from_edges(pairs: Iterable[tuple[str, str]]) -> Graph:
@@ -181,19 +177,23 @@ def graph_from_edges(pairs: Iterable[tuple[str, str]]) -> Graph:
 
     Node indices follow first appearance of each label in the pair stream.
     """
-    labels: list[str] = []
+    return _graph_from_tokens([token for a, b in pairs for token in (a, b)])
+
+
+def _graph_from_tokens(tokens: list[str]) -> Graph:
+    """The graph of the edges (tokens[0], tokens[1]), (tokens[2], tokens[3]),
+    ...; ids follow first appearance, from one ``dict.setdefault`` pass."""
     index_of: dict[str, int] = {}
-    edges: set[tuple[int, int]] = set()
-    for a, b in pairs:
-        for token in (a, b):
-            if token not in index_of:
-                index_of[token] = len(labels)
-                labels.append(token)
-        if a == b:
-            continue
-        v, u = index_of[a], index_of[b]
-        edges.add((min(v, u), max(v, u)))
-    return _build(labels, edges)
+    ends = [index_of.setdefault(token, len(index_of)) for token in tokens]
+    v, u = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    n = len(index_of)
+    lo, hi = np.minimum(v, u), np.maximum(v, u)
+    keys = np.unique((lo * n + hi)[lo != hi])
+    # Both orientations of each edge, in order of source, then target.
+    keys = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return Graph(tuple(index_of), Adjacency(indptr, keys % n))
 
 
 def decode_utf8(raw: bytes) -> str:
@@ -216,18 +216,17 @@ def load_edge_list(source: IO[bytes] | IO[str]) -> Graph:
     """
     raw = source.read()
     text = decode_utf8(raw) if isinstance(raw, bytes) else raw
-    pairs: list[tuple[str, str]] = []
+    tokens: list[str] = []
     for line_number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
+        if len(fields) != 2:
             raise EdgeListParseError(
-                f"expected two tokens, got {len(tokens)}: {stripped!r}", line_number
+                f"expected two tokens, got {len(fields)}: {line.strip()!r}", line_number
             )
-        pairs.append((tokens[0], tokens[1]))
-    g = graph_from_edges(pairs)
+        tokens += fields
+    g = _graph_from_tokens(tokens)
     if g.edge_count == 0:
         raise EmptyInputError("edge list contains no usable edges")
     return g
@@ -263,32 +262,50 @@ def bfs_distances(g: Graph, source: int) -> dict[int, int]:
     return dist
 
 
+def _component_roots(adjacency: Adjacency) -> np.ndarray:
+    """The smallest member of each node's component, by min-label propagation.
+
+    A pass lowers each label to the smallest label among the node and its
+    neighbors, then jumps one pointer (label of the label). Labels only
+    fall and always name a member of the node's component, so when a pass
+    changes nothing every component holds one label: its smallest member.
+    """
+    indptr, indices = adjacency
+    root = np.arange(adjacency.node_count)
+    if len(indices) == 0:
+        return root
+    # reduceat gives an empty segment its start element: skip isolated nodes.
+    has = np.diff(indptr) > 0
+    starts = indptr[:-1][has]
+    while True:
+        low = root.copy()
+        low[has] = np.minimum(root[has], np.minimum.reduceat(root[indices], starts))
+        low = low[low]
+        if np.array_equal(low, root):
+            return root
+        root = low
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted index lists, ordered by smallest member."""
-    seen: set[int] = set()
-    components = []
-    for start in range(g.node_count):
-        if start in seen:
-            continue
-        members = sorted(bfs_distances(g, start))
-        seen.update(members)
-        components.append(members)
-    return components
+    root = _component_roots(g.adjacency)
+    order = np.argsort(root, kind="stable")
+    _, starts = np.unique(root[order], return_index=True)
+    return [part.tolist() for part in np.split(order, starts[1:])]
 
 
 def largest_connected_component(g: Graph) -> Graph:
     """Induced subgraph on the largest component; ``g`` itself if connected.
 
     Ties between equal-size components go to the one containing the
-    smallest internal index (the first one found scanning indices).
+    smallest internal index.
     """
-    best: list[int] | None = None
-    for component in connected_components(g):
-        if best is None or len(component) > len(best):
-            best = component
-    if best is None or len(best) == g.node_count:
+    root = _component_roots(g.adjacency)
+    sizes = np.bincount(root, minlength=1)
+    best = int(np.argmax(sizes))  # first maximum: the smallest root
+    if sizes[best] == g.node_count:
         return g
-    return induced_subgraph(g, best)
+    return induced_subgraph(g, np.flatnonzero(root == best))
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
@@ -300,19 +317,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     for v in keep:
         if not g.has_node(v):
             raise UnknownNodeError(f"no node with index {v}")
-    remap = {old: new for new, old in enumerate(keep)}
-    labels = [g.label(v) for v in keep]
-    edges = {
-        (remap[v], remap[u])
-        for v, u in g.edges()
-        if v in remap and u in remap
-    }
-    return _build(labels, edges)
-
-
-def adjacency_csr(g: Graph) -> Adjacency:
-    """The adjacency of ``g`` in CSR form, built once per graph."""
-    return g._csr
+    return Graph(tuple(g.labels[v] for v in keep), g.adjacency.induced(keep))
 
 
 def adjacency_bits(g: Graph) -> np.ndarray:
@@ -369,8 +374,8 @@ def _bfs_levels(adjacency: Adjacency) -> Iterator[tuple[int, np.ndarray]]:
 def distance_summary(adjacency: Adjacency) -> tuple[int, int, int]:
     """(diameter, distance sum, pair count) over unordered connected pairs.
 
-    ``adjacency`` is a symmetric adjacency, as built by ``adjacency_csr``
-    or induced from one. Unreachable pairs are left out of all three;
+    ``adjacency`` is a symmetric adjacency, as a graph holds it or
+    induced from one. Unreachable pairs are left out of all three;
     the distance matrix is never built. The sum and the count are exact
     integers, so ``sum / count`` is the correctly rounded mean distance.
     """
@@ -389,7 +394,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     n = g.node_count
     out = np.full((n, n), np.inf)
     np.fill_diagonal(out, 0.0)
-    for level, frontier in _bfs_levels(adjacency_csr(g)):
+    for level, frontier in _bfs_levels(g.adjacency):
         rows = np.ascontiguousarray(frontier.T).view(np.uint8)
         bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
         out[bits.view(bool)] = level
@@ -404,7 +409,7 @@ def diameter(g: Graph) -> int:
     """
     if g.node_count == 0:
         raise UnknownNodeError("diameter of an empty graph is undefined")
-    return distance_summary(adjacency_csr(g))[0]
+    return distance_summary(g.adjacency)[0]
 
 
 def average_distance(g: Graph) -> float:
@@ -415,7 +420,7 @@ def average_distance(g: Graph) -> float:
     """
     if g.node_count < 2:
         raise UnknownNodeError("average distance needs at least 2 nodes")
-    _, total, pairs = distance_summary(adjacency_csr(g))
+    _, total, pairs = distance_summary(g.adjacency)
     return total / pairs if pairs else 0.0
 
 

@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .graph import Adjacency, Graph, adjacency_csr, distance_summary
+from .graph import Adjacency, Graph, distance_summary
 from .models import DiffusionTrace
 
 __all__ = [
@@ -87,7 +87,7 @@ def evaluate_trace(
     include_initial prepends an iteration-0 row for the seed-only state.
     Labels are resolved against g, so a trace from another graph raises.
     """
-    adjacency = adjacency_csr(g)
+    adjacency = g.adjacency
     members = {g.index(trace.seed)}
     rows: list[IterationMetrics] = []
     if include_initial:

@@ -16,14 +16,18 @@ activations.
 
 Stochastic draws are ordered: actors by ascending internal index, then
 targets by ascending internal index, one uniform per (actor, target)
-attempt. Streams derive from (rng_seed, run_index), so repetitions of
-one experiment are independent but individually reproducible.
+attempt. IC and SI lay the CSR rows of a round's actors end to end,
+drop the targets already active, and take the round's uniforms in one
+vector draw, which yields the same numbers as one scalar draw per
+attempt in that order. Streams derive from (rng_seed, run_index), so
+repetitions of one experiment are independent but individually
+reproducible.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -115,20 +119,16 @@ class DiffusionTrace:
         return self.cumulative_counts()[-1] / self.node_count if self.iterations else 1.0 / self.node_count
 
 
-def _sorted_labels(g: Graph, nodes: Iterable[int]) -> tuple[str, ...]:
-    return tuple(sorted(g.label(v) for v in nodes))
-
-
 def _finish(
     g: Graph,
     model: str,
     seed: int,
     params: dict,
-    rounds: list[set[int]] | list[list[int]],
+    rounds: list[np.ndarray],
     truncated: bool,
 ) -> DiffusionTrace:
     iterations = tuple(
-        TraceIteration(index=i + 1, newly_active=_sorted_labels(g, nodes))
+        TraceIteration(index=i + 1, newly_active=tuple(sorted(g.labels[v] for v in nodes)))
         for i, nodes in enumerate(rounds)
     )
     return DiffusionTrace(
@@ -156,6 +156,29 @@ def cns_activate(
     return set(np.flatnonzero(table.reach[v]).tolist()) - set(active)
 
 
+def _cascade(
+    n: int,
+    s: int,
+    spread: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    max_iterations: int | None,
+) -> tuple[list[np.ndarray], bool]:
+    """Rounds and truncated flag of a cascade from ``s`` in which only the
+    last round's activations act: ``spread(frontier, active)`` returns the
+    inactive nodes they activate, ascending."""
+    active = np.zeros(n, dtype=bool)
+    active[s] = True
+    frontier = np.array([s])
+    rounds: list[np.ndarray] = []
+    while len(frontier):
+        if max_iterations is not None and len(rounds) >= max_iterations:
+            return rounds, not active.all()
+        frontier = spread(frontier, active)
+        if len(frontier):
+            rounds.append(frontier)
+            active[frontier] = True
+    return rounds, False
+
+
 def run_cns(
     g: Graph,
     seed: str,
@@ -171,20 +194,11 @@ def run_cns(
     if table is None:
         table = build_tie_strength_table(g)
     reach = table.reach
-    active = np.zeros(g.node_count, dtype=bool)
-    active[s] = True
-    frontier = [s]
-    rounds: list[list[int]] = []
-    truncated = False
-    while frontier:
-        if max_iterations is not None and len(rounds) >= max_iterations:
-            truncated = not active.all()
-            break
-        newly = reach[frontier].any(axis=0) & ~active
-        frontier = np.flatnonzero(newly).tolist()
-        if frontier:
-            rounds.append(frontier)
-            active |= newly
+
+    def spread(frontier: np.ndarray, active: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(reach[frontier].any(axis=0) & ~active)
+
+    rounds, truncated = _cascade(g.node_count, s, spread, max_iterations)
     params = {"max_iterations": max_iterations}
     return _finish(g, "cns", s, params, rounds, truncated)
 
@@ -210,27 +224,14 @@ def run_ic(
     s = g.index(seed)
     p = params.ic_probability
     rng = _stream(params.rng_seed, run_index)
-    active: set[int] = {s}
-    frontier = [s]
-    rounds: list[set[int]] = []
-    truncated = False
-    while frontier:
-        if max_iterations is not None and len(rounds) >= max_iterations:
-            truncated = len(active) < g.node_count
-            break
-        newly: set[int] = set()
-        for v in frontier:
-            for u in g.neighbors_of(v):
-                if u in active:
-                    continue
-                # random() lives in [0, 1), so p = 1 always succeeds.
-                if rng.random() < p:
-                    newly.add(u)
-        if not newly:
-            break
-        rounds.append(newly)
-        active |= newly
-        frontier = sorted(newly)
+
+    def spread(frontier: np.ndarray, active: np.ndarray) -> np.ndarray:
+        targets = g.adjacency.rows(frontier)
+        targets = targets[~active[targets]]
+        # random() lives in [0, 1), so p = 1 always succeeds.
+        return np.unique(targets[rng.random(len(targets)) < p])
+
+    rounds, truncated = _cascade(g.node_count, s, spread, max_iterations)
     out_params = {
         "p": p,
         "rng_seed": params.rng_seed,
@@ -261,32 +262,27 @@ def run_si(
     beta = params.si_beta
     cap = max_iterations if max_iterations is not None else SI_CAP_FACTOR * g.node_count
     rng = _stream(params.rng_seed, run_index)
-    infected: set[int] = {s}
-    rounds: list[set[int]] = []
+    infected = np.zeros(g.node_count, dtype=bool)
+    infected[s] = True
+    rounds: list[np.ndarray] = []
     clock = 0
     truncated = False
-    while len(infected) < g.node_count:
+    while not infected.all():
         if clock >= cap:
             truncated = True
             break
         clock += 1
-        newly: set[int] = set()
-        attempted = False
-        for v in sorted(infected):
-            for u in g.neighbors_of(v):
-                if u in infected:
-                    continue
-                attempted = True
-                if rng.random() < beta:
-                    newly.add(u)
-        if not attempted:
+        targets = g.adjacency.rows(np.flatnonzero(infected))
+        targets = targets[~infected[targets]]
+        if not len(targets):
             # Remaining susceptibles are unreachable; the cap would never
             # trigger another draw, so stop now with the same outcome.
             truncated = True
             break
-        if newly:
+        newly = np.unique(targets[rng.random(len(targets)) < beta])
+        if len(newly):
             rounds.append(newly)
-            infected |= newly
+            infected[newly] = True
     out_params = {
         "beta": beta,
         "rng_seed": params.rng_seed,

@@ -34,7 +34,7 @@ stays below 2**53; ``cn + 1`` is at most n - 1, exact in float32 below
 2**24. An edge-wise kernel over (edge, common neighbor) incidences gives
 the same terms but was measured 6x slower on polblogs, so the blocks
 stay per node. Every score lives in edge-indexed arrays in
-``adjacency_csr`` order: position k is the ordered edge (v, indices[k])
+``Graph.adjacency`` order: position k is the ordered edge (v, indices[k])
 for the row v that holds k, so rows ascend by v and, within a row, by
 neighbor.
 
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterator, Sequence
@@ -65,7 +64,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .errors import NotAnEdgeError
-from .graph import Adjacency, Graph, adjacency_bits, adjacency_csr
+from .graph import Graph, adjacency_bits
 
 __all__ = [
     "CommonNeighborhoodBreakdown",
@@ -121,17 +120,13 @@ class ContributorSet:
     members: frozenset[int]
 
 
-def _require_edge(g: Graph, v: int, u: int) -> None:
-    if not (g.has_node(v) and g.has_node(u) and g.has_edge(v, u)):
-        raise NotAnEdgeError(f"({v}, {u}) is not an edge of the graph")
-
-
 def contributors(g: Graph, v: int, u: int) -> ContributorSet:
     """Every node that appears in some score term of (v, u), minus v and u.
 
     Empty for degenerate pairs: those score without any third party.
     """
-    _require_edge(g, v, u)
+    if not (g.has_node(v) and g.has_node(u) and g.has_edge(v, u)):
+        raise NotAnEdgeError(f"({v}, {u}) is not an edge of the graph")
     nv = g.neighbor_set(v)
     nu = g.neighbor_set(u)
     common = sorted(nv & nu)
@@ -152,7 +147,7 @@ def contributors(g: Graph, v: int, u: int) -> ContributorSet:
 
 @dataclass(frozen=True, eq=False)
 class TieStrengthTable:
-    """Scores of every ordered edge, as arrays in ``adjacency`` order.
+    """Scores of every ordered edge, as arrays in ``graph.adjacency`` order.
 
     ``terms[k]`` holds term_cn, term_v_side, term_u_side, term_sigma,
     term_ww and rho of ordered edge k, ``phi[k]`` its tie strength,
@@ -161,7 +156,6 @@ class TieStrengthTable:
     """
 
     graph: Graph
-    adjacency: Adjacency
     terms: np.ndarray
     phi: np.ndarray
     row_max: np.ndarray
@@ -170,8 +164,8 @@ class TieStrengthTable:
     @cached_property
     def strong_ties(self) -> frozenset[tuple[int, int]]:
         """The strong ties as ordered (v, u) index pairs."""
-        sources = self.adjacency.sources()[self.strong]
-        return frozenset(zip(sources.tolist(), self.adjacency.indices[self.strong].tolist()))
+        sources, targets = self.graph.adjacency.sources(), self.graph.adjacency.indices
+        return frozenset(zip(sources[self.strong].tolist(), targets[self.strong].tolist()))
 
     @cached_property
     def reach(self) -> np.ndarray:
@@ -181,7 +175,7 @@ class TieStrengthTable:
         first use from the graph's packed adjacency rows.
         """
         n = self.graph.node_count
-        sources, targets = self.adjacency.sources(), self.adjacency.indices
+        sources, targets = self.graph.adjacency.sources(), self.graph.adjacency.indices
         rows = adjacency_bits(self.graph)
         source, target = sources[self.strong], targets[self.strong]
         common = rows[source] & rows[target]
@@ -207,9 +201,13 @@ class TieStrengthTable:
 
     def _position(self, v: int, u: int) -> int:
         """Index of the ordered edge (v, u) in the edge arrays."""
-        _require_edge(self.graph, v, u)
-        start = int(self.adjacency.indptr[v])
-        return start + bisect_left(self.graph.neighbors_of(v), u)
+        indptr, indices = self.graph.adjacency
+        if self.graph.has_node(v) and self.graph.has_node(u):
+            start, stop = indptr[v], indptr[v + 1]
+            k = int(start + np.searchsorted(indices[start:stop], u))
+            if k < stop and indices[k] == u:
+                return k
+        raise NotAnEdgeError(f"({v}, {u}) is not an edge of the graph")
 
     def breakdown(self, v: int, u: int) -> CommonNeighborhoodBreakdown:
         terms = self.terms[self._position(v, u)].tolist()
@@ -246,9 +244,8 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
     Row maxima are not tie-broken: every co-maximal neighbor of a node
     enters the strong-tie set.
     """
-    adjacency = adjacency_csr(g)
-    indptr, indices = adjacency
-    sources = adjacency.sources()
+    indptr, indices = g.adjacency
+    sources = g.adjacency.sources()
     n = g.node_count
     words = adjacency_bits(g).view(np.uint64)
     cn = np.empty(len(indices), dtype=np.int64)
@@ -297,7 +294,6 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
     phi = np.divide(rho, source_max, out=np.zeros(len(rho)), where=source_max > 0)
     return TieStrengthTable(
         graph=g,
-        adjacency=adjacency,
         terms=terms,
         phi=phi,
         row_max=row_max,
@@ -328,7 +324,7 @@ def dump_tie_table(table: TieStrengthTable, stream: IO[str]) -> None:
     labels = table.graph.labels
     rank = np.empty(len(labels), dtype=np.int64)
     rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
-    sources, targets = table.adjacency.sources(), table.adjacency.indices
+    sources, targets = table.graph.adjacency.sources(), table.graph.adjacency.indices
     # Labels are unique, so this is the order of the (label_v, label_u) key.
     order = np.lexsort((rank[targets], rank[sources]))
     fields = np.array(_csv_fields(labels), dtype=object)

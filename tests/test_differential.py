@@ -1,0 +1,294 @@
+"""The loader and the IC and SI rounds against set-based oracles.
+
+The oracles are the tuple-and-set loader and the per-attempt draw loops
+that the CSR loader and the vectorized rounds replaced, kept as they
+were so that any change of labels, edges, error text or random draws
+shows up as a difference.
+"""
+from __future__ import annotations
+
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netdiffuse.errors import EdgeListParseError, EmptyInputError, GraphError
+from netdiffuse.graph import decode_utf8, graph_from_edges, graph_from_text, load_edge_list
+from netdiffuse.models import (
+    SI_CAP_FACTOR,
+    DiffusionTrace,
+    ModelParams,
+    TraceIteration,
+    _stream,
+    run_ic,
+    run_si,
+    trace_to_json,
+)
+
+
+class OracleGraph:
+    """Labels plus sorted neighbor tuples, built through an edge set."""
+
+    def __init__(self, labels, edge_indices):
+        adjacency = [[] for _ in labels]
+        for v, u in edge_indices:
+            adjacency[v].append(u)
+            adjacency[u].append(v)
+        self.labels = tuple(labels)
+        self.neighbors = tuple(tuple(sorted(ns)) for ns in adjacency)
+
+    def edges(self):
+        return [(v, u) for v, ns in enumerate(self.neighbors) for u in ns if v < u]
+
+
+def oracle_graph_from_edges(pairs):
+    labels = []
+    index_of = {}
+    edges = set()
+    for a, b in pairs:
+        for token in (a, b):
+            if token not in index_of:
+                index_of[token] = len(labels)
+                labels.append(token)
+        if a == b:
+            continue
+        v, u = index_of[a], index_of[b]
+        edges.add((min(v, u), max(v, u)))
+    return OracleGraph(labels, edges)
+
+
+def oracle_load(source):
+    raw = source.read()
+    text = decode_utf8(raw) if isinstance(raw, bytes) else raw
+    pairs = []
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(
+                f"expected two tokens, got {len(tokens)}: {stripped!r}", line_number
+            )
+        pairs.append((tokens[0], tokens[1]))
+    g = oracle_graph_from_edges(pairs)
+    if not g.edges():
+        raise EmptyInputError("edge list contains no usable edges")
+    return g
+
+
+def oracle_trace(g, model, s, params, rounds, truncated):
+    return DiffusionTrace(
+        model=model,
+        seed=g.labels[s],
+        params=params,
+        node_count=len(g.labels),
+        iterations=tuple(
+            TraceIteration(i + 1, tuple(sorted(g.labels[v] for v in nodes)))
+            for i, nodes in enumerate(rounds)
+        ),
+        truncated=truncated,
+    )
+
+
+def oracle_ic(g, seed, params, run_index, max_iterations):
+    s = g.labels.index(seed)
+    p = params.ic_probability
+    rng = _stream(params.rng_seed, run_index)
+    active = {s}
+    frontier = [s]
+    rounds = []
+    truncated = False
+    while frontier:
+        if max_iterations is not None and len(rounds) >= max_iterations:
+            truncated = len(active) < len(g.labels)
+            break
+        newly = set()
+        for v in frontier:
+            for u in g.neighbors[v]:
+                if u in active:
+                    continue
+                if rng.random() < p:
+                    newly.add(u)
+        if not newly:
+            break
+        rounds.append(newly)
+        active |= newly
+        frontier = sorted(newly)
+    out_params = {
+        "p": p,
+        "rng_seed": params.rng_seed,
+        "run_index": run_index,
+        "max_iterations": max_iterations,
+    }
+    return oracle_trace(g, "ic", s, out_params, rounds, truncated)
+
+
+def oracle_si(g, seed, params, run_index, max_iterations):
+    s = g.labels.index(seed)
+    n = len(g.labels)
+    beta = params.si_beta
+    cap = max_iterations if max_iterations is not None else SI_CAP_FACTOR * n
+    rng = _stream(params.rng_seed, run_index)
+    infected = {s}
+    rounds = []
+    clock = 0
+    truncated = False
+    while len(infected) < n:
+        if clock >= cap:
+            truncated = True
+            break
+        clock += 1
+        newly = set()
+        attempted = False
+        for v in sorted(infected):
+            for u in g.neighbors[v]:
+                if u in infected:
+                    continue
+                attempted = True
+                if rng.random() < beta:
+                    newly.add(u)
+        if not attempted:
+            truncated = True
+            break
+        if newly:
+            rounds.append(newly)
+            infected |= newly
+    out_params = {"beta": beta, "rng_seed": params.rng_seed, "run_index": run_index, "cap": cap}
+    return oracle_trace(g, "si", s, out_params, rounds, truncated)
+
+
+def outcome(load, text):
+    """What a loader makes of ``text``: labels and edges, or the error."""
+    try:
+        g = load(io.StringIO(text))
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return g.labels, list(g.edges())
+
+
+# Separators: every character str.split and str.splitlines treat alike or
+# differently; tokens: comment marks, CSV quoting and a non-ASCII letter.
+SEPARATORS = [" ", "\t", "\r", "\n", "\r\n", "\x0b", "\x0c", "  "]
+TOKENS = ["a", "b", "c", "1", "2", "#", "#x", "a,b", '"', '"q"', "é", "é#"]
+
+
+@st.composite
+def edge_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank", "junk"]))
+        if kind == "edge":
+            a, b = draw(st.sampled_from(TOKENS)), draw(st.sampled_from(TOKENS))
+            sep = draw(st.sampled_from([" ", "\t", " \t ", "\x0b", "\x0c"]))
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + a + sep + b)
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["#", " # c", "\t#a b c"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0c"])))
+        else:
+            parts = draw(st.lists(st.sampled_from(TOKENS + SEPARATORS), max_size=6))
+            lines.append("".join(parts))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestLoader:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_texts())
+    def test_matches_oracle(self, text):
+        assert outcome(load_edge_list, text) == outcome(oracle_load, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "a a\n",
+            "a b\n\x0bb c\n",
+            "a b\x0cc\n",
+            '"q" é\n# x\n é a,b\r\n',
+            "a b\n1 2 3\n",
+            "#a b c\n  # \n\t\na\tb\n",
+        ],
+    )
+    def test_examples(self, text):
+        assert outcome(load_edge_list, text) == outcome(oracle_load, text)
+
+    def test_bytes_match_text(self):
+        text = "é a\n# c\nb é\n"
+        g = load_edge_list(io.BytesIO(text.encode()))
+        assert (g.labels, list(g.edges())) == outcome(oracle_load, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(TOKENS)), max_size=12))
+    def test_graph_from_edges_matches_oracle(self, pairs):
+        g = graph_from_edges(pairs)
+        want = oracle_graph_from_edges(pairs)
+        assert g.labels == want.labels
+        assert list(g.edges()) == want.edges()
+        assert [g.neighbors_of(v) for v in range(g.node_count)] == list(want.neighbors)
+
+
+@st.composite
+def model_cases(draw):
+    """Edge text with an isolated node ``iso`` (a self loop only) and a seed."""
+    n = draw(st.integers(2, 12))
+    pairs = [(v, u) for v in range(n) for u in range(v + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [f"n{v} n{u}" for (v, u), kept in zip(pairs, keep) if kept]
+    edges.insert(draw(st.integers(0, len(edges))), "iso iso")
+    text = "\n".join(edges + ["n0 n1"]) + "\n"
+    seed = draw(st.sampled_from(graph_from_text(text).labels))
+    return text, seed
+
+
+PROBABILITIES = st.sampled_from([0.0, 0.1, 0.5, 1.0])
+CAPS = st.sampled_from([None, 1, 2, 5])
+RUNS = st.integers(0, 3)
+
+
+class TestModels:
+    @settings(max_examples=300, deadline=None)
+    @given(model_cases(), PROBABILITIES, CAPS, RUNS)
+    def test_ic_matches_oracle(self, case, p, cap, run_index):
+        text, seed = case
+        params = ModelParams(ic_probability=p, rng_seed=5)
+        got = run_ic(graph_from_text(text), seed, params, run_index, cap)
+        want = oracle_ic(oracle_load(io.StringIO(text)), seed, params, run_index, cap)
+        assert trace_to_json(got) == trace_to_json(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(model_cases(), PROBABILITIES, CAPS, RUNS)
+    def test_si_matches_oracle(self, case, beta, cap, run_index):
+        text, seed = case
+        params = ModelParams(si_beta=beta, rng_seed=9)
+        got = run_si(graph_from_text(text), seed, params, run_index, cap)
+        want = oracle_si(oracle_load(io.StringIO(text)), seed, params, run_index, cap)
+        assert trace_to_json(got) == trace_to_json(want)
+
+    @pytest.mark.parametrize("run", [(run_ic, oracle_ic), (run_si, oracle_si)])
+    def test_karate(self, karate, data_dir, run):
+        new, old = run
+        with open(data_dir / "karate.txt", "rb") as handle:
+            oracle = oracle_load(handle)
+        params = ModelParams(ic_probability=0.3, si_beta=0.3, rng_seed=42)
+        for run_index in range(3):
+            got = new(karate, "2", params, run_index, None)
+            assert trace_to_json(got) == trace_to_json(old(oracle, "2", params, run_index, None))
+
+
+class TestDrawStream:
+    """The two generator facts a round's single vector draw rests on."""
+
+    def test_vector_draw_equals_scalar_draws(self):
+        vector, scalar = _stream(42, 3), _stream(42, 3)
+        for k in (1, 2, 7, 100):
+            assert vector.random(k).tolist() == [scalar.random() for _ in range(k)]
+
+    def test_empty_draw_leaves_stream(self):
+        drawn, untouched = _stream(7, 0), _stream(7, 0)
+        assert len(drawn.random(0)) == 0
+        assert drawn.random() == untouched.random()
+        assert np.array_equal(drawn.random(5), untouched.random(5))

@@ -1,12 +1,14 @@
 """Graph construction, loading, traversal and whole-graph metrics."""
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,8 @@ from netdiffuse.errors import (
     UnknownNodeError,
 )
 from netdiffuse.graph import (
+    Graph,
     adjacency_bits,
-    adjacency_csr,
     all_pairs_distances,
     average_degree,
     average_distance,
@@ -36,6 +38,7 @@ from netdiffuse.graph import (
     induced_subgraph,
     largest_connected_component,
     load_edge_list,
+    load_edge_list_path,
     serialize_edge_list,
 )
 
@@ -127,6 +130,16 @@ class TestLoading:
         assert karate.node_count == 34
         assert karate.edge_count == 78
 
+    def test_labels_and_csr_only(self, data_dir):
+        # Loading, components and induced graphs build no Python rows or
+        # label map; those views appear on first use.
+        assert [f.name for f in dataclasses.fields(Graph)] == ["labels", "adjacency"]
+        g = largest_connected_component(load_edge_list_path(data_dir / "polblogs.txt"))
+        induced_subgraph(g, range(0, g.node_count, 2))
+        assert not set(vars(g)) - {"labels", "adjacency"}
+        assert g.neighbors_of(1) == tuple(sorted(g.neighbor_set(1)))
+        assert {"_neighbor_rows", "_neighbor_sets"} <= set(vars(g))
+
 
 class TestSerialize:
     def test_format(self):
@@ -169,7 +182,77 @@ class TestTraversal:
         assert d[g.index("b")] == 1
 
 
+def components_oracle(g):
+    """Components by a dict-and-queue BFS over ``edges()``, as sorted
+    lists ordered by smallest member."""
+    adjacent = {v: [] for v in range(g.node_count)}
+    for v, u in g.edges():
+        adjacent[v].append(u)
+        adjacent[u].append(v)
+    seen = set()
+    components = []
+    for start in range(g.node_count):
+        if start in seen:
+            continue
+        members = {start}
+        queue = deque([start])
+        while queue:
+            for u in adjacent[queue.popleft()]:
+                if u not in members:
+                    members.add(u)
+                    queue.append(u)
+        seen |= members
+        components.append(sorted(members))
+    return components
+
+
+@st.composite
+def graphs_with_isolates(draw, max_nodes: int = 16):
+    """Nodes 0..n-1 in index order (a self loop each registers the label),
+    any edges among them: isolated nodes and equal-size components occur."""
+    n = draw(st.integers(1, max_nodes))
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+    pairs = [(str(v), str(v)) for v in range(n)] + [(str(v), str(u)) for v, u in edges]
+    return graph_from_edges(pairs)
+
+
 class TestComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_isolates())
+    def test_label_propagation_matches_bfs_oracle(self, g):
+        want = components_oracle(g)
+        assert connected_components(g) == want
+        lcc = largest_connected_component(g)
+        # max keeps the first largest: the one holding the smallest index.
+        assert lcc == induced_subgraph(g, max(want, key=len))
+        assert (lcc is g) == (len(want) == 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_shuffled_paths(self, seed):
+        # A path whose indices zigzag needs many propagation passes.
+        rng = random.Random(seed)
+        order = list(range(300))
+        rng.shuffle(order)
+        pairs = [(str(v), str(v)) for v in range(300)]
+        pairs += [(str(a), str(b)) for a, b in zip(order, order[1:]) if b != order[150]]
+        g = graph_from_edges(pairs)
+        assert connected_components(g) == components_oracle(g)
+        assert largest_connected_component(g) == induced_subgraph(
+            g, max(components_oracle(g), key=len)
+        )
+
+    def test_equal_sizes_smallest_index_wins(self):
+        pairs = [(x, x) for x in "abcdef"] + [("b", "c"), ("a", "d"), ("e", "f")]
+        g = graph_from_edges(pairs)
+        assert connected_components(g) == [[0, 3], [1, 2], [4, 5]]
+        assert largest_connected_component(g).labels == ("a", "d")
+
+    def test_single_isolated_node_is_connected(self):
+        g = graph_from_edges([("a", "a")])
+        assert connected_components(g) == [[0]]
+        assert largest_connected_component(g) is g
+
     def test_two_triangles_tie_break(self):
         g = graph_from_text("a b\nb c\nc a\nd e\ne f\nf d")
         lcc = largest_connected_component(g)
@@ -222,6 +305,19 @@ class TestInducedSubgraph:
         with pytest.raises(UnknownNodeError):
             induced_subgraph(g, [0, 5])
 
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_isolates(), st.data())
+    def test_equals_graph_built_directly(self, g, data):
+        members = data.draw(st.sets(st.integers(0, g.node_count - 1)))
+        sub = induced_subgraph(g, members)
+        # Self loops fix the label order; the edges follow in any order.
+        pairs = [(x, x) for x in sub.labels]
+        pairs += [(sub.label(u), sub.label(v)) for v, u in sub.edges()][::-1]
+        direct = graph_from_edges(pairs)
+        assert direct == sub
+        assert hash(direct) == hash(sub)
+        assert (sub == g) == (len(members) == g.node_count)
+
 
 def independent_set(g):
     """Greedy set of pairwise non-adjacent nodes, in index order."""
@@ -232,16 +328,29 @@ def independent_set(g):
     return members
 
 
+def induced_rows_oracle(g, members):
+    """CSR arrays of the subgraph on ``members``, from ``edges()`` and lists."""
+    remap = {old: new for new, old in enumerate(sorted(set(members)))}
+    rows = [[] for _ in remap]
+    for v, u in g.edges():
+        if v in remap and u in remap:
+            rows[remap[v]].append(remap[u])
+            rows[remap[u]].append(remap[v])
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return indptr, [u for row in rows for u in sorted(row)]
+
+
 class TestInducedAdjacency:
-    """``adjacency_csr(g).induced(members)`` equals the CSR of
-    ``induced_subgraph(g, members)`` array for array."""
+    """``g.adjacency.induced(members)`` and ``induced_subgraph`` both equal
+    a list-built CSR of the subgraph, array for array."""
 
     @staticmethod
     def induced(g, members):
-        got = adjacency_csr(g).induced(members)
-        want = adjacency_csr(induced_subgraph(g, members))
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
+        indptr, indices = induced_rows_oracle(g, members)
+        got = g.adjacency.induced(members)
+        for csr in (got, induced_subgraph(g, members).adjacency):
+            assert csr.indptr.tolist() == indptr.tolist()
+            assert csr.indices.tolist() == indices
         return got
 
     def test_unsorted_members(self, karate):

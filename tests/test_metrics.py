@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from netdiffuse.errors import UnknownNodeError
 from netdiffuse.graph import (
-    Graph,
-    adjacency_csr,
     all_pairs_distances,
     average_degree,
     average_distance,
     density,
     diameter,
     distance_summary,
+    graph_from_edges,
     graph_from_text,
     induced_subgraph,
 )
@@ -57,14 +56,10 @@ def horizon_distance_oracle(g, members):
 
 
 def graph_on(n, edges):
-    adjacency = [[] for _ in range(n)]
-    for v, u in edges:
-        adjacency[v].append(u)
-        adjacency[u].append(v)
-    return Graph(
-        labels=tuple(str(v) for v in range(n)),
-        neighbors=tuple(tuple(sorted(ns)) for ns in adjacency),
-    )
+    """Nodes '0'..'n-1' in index order (a self loop each registers the
+    label, isolated nodes included) and the given index edges."""
+    pairs = [(str(v), str(v)) for v in range(n)]
+    return graph_from_edges(pairs + [(str(v), str(u)) for v, u in edges])
 
 
 @st.composite
@@ -123,7 +118,7 @@ def assert_distances_match_oracles(g):
 
     assert np.array_equal(all_pairs_distances(g), want)
     summary = (max(finite, default=0), sum(finite), len(finite))
-    assert distance_summary(adjacency_csr(g)) == summary
+    assert distance_summary(g.adjacency) == summary
     assert diameter(g) == summary[0]
     if g.node_count < 2:
         with pytest.raises(UnknownNodeError):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from netdiffuse import ties
 from netdiffuse.errors import NotAnEdgeError
 from netdiffuse.graph import (
-    adjacency_csr,
     graph_from_edges,
     graph_from_text,
     load_edge_list_path,
@@ -116,6 +115,28 @@ class TestBreakdown:
         with pytest.raises(NotAnEdgeError):
             breakdown(g, g.index("a"), g.index("c"))
 
+    def test_every_index_pair(self):
+        # Ends of rows, an empty row (isolated d), self pairs and indices
+        # outside the graph: an edge is found, anything else rejected.
+        g = graph_from_text("a b\nb c\nc a\nd d\nc e\n")
+        table = build_tie_strength_table(g)
+        for v in range(-1, g.node_count + 1):
+            for u in range(-1, g.node_count + 1):
+                if g.has_node(v) and g.has_node(u) and g.has_edge(v, u):
+                    assert as_tuple(table.breakdown(v, u)) == oracle_breakdown(g, v, u)
+                else:
+                    with pytest.raises(NotAnEdgeError):
+                        table.rho(v, u)
+
+    def test_lookups_build_no_python_rows(self):
+        g = load_edge_list_path(DATA_DIR / "lesmis.txt")
+        table = build_tie_strength_table(g)
+        for v, u in g.edges():
+            table.rho(v, u)
+            table.breakdown(u, v)
+            tie_strength(table, v, u)
+        assert not {"_neighbor_rows", "_neighbor_sets"} & set(vars(g))
+
     @settings(max_examples=60, deadline=None)
     @given(random_graphs())
     def test_matches_naive_oracle(self, g):
@@ -212,7 +233,7 @@ def greedy_chunks(degree, limit):
 
 
 def degree_chunks(g):
-    return [c.tolist() for c in ties._degree_chunks(np.diff(adjacency_csr(g).indptr))]
+    return [c.tolist() for c in ties._degree_chunks(np.diff(g.adjacency.indptr))]
 
 
 class TestBlockKernel:
@@ -387,8 +408,8 @@ class TestTieStrength:
 def oracle_dump(table, stream):
     """The row-by-row dump: a tuple-key sort and one writerow per edge."""
     labels = table.graph.labels
-    sources = table.adjacency.sources().tolist()
-    targets = table.adjacency.indices.tolist()
+    sources = table.graph.adjacency.sources().tolist()
+    targets = table.graph.adjacency.indices.tolist()
     terms = table.terms.tolist()
     phi = table.phi.tolist()
     order = sorted(
