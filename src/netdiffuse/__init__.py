@@ -50,7 +50,6 @@ from .models import (
     trace_to_json,
 )
 from .metrics import IterationMetrics, evaluate_trace
-from .datasets import DatasetDescriptor, dataset_registry, load_dataset
 from .harness import (
     ComparisonReport,
     ExperimentConfig,

@@ -19,6 +19,7 @@ from contextlib import nullcontext
 from .errors import ConfigError, GraphError
 from .graph import load_edge_list_path
 from .harness import (
+    MODELS,
     ExperimentConfig,
     parse_seeds_file,
     reproduce_paper,
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one diffusion experiment")
     run.add_argument("--graph", required=True, help="edge-list file")
-    run.add_argument("--model", required=True, choices=("cns", "ic", "si"))
+    run.add_argument("--model", required=True, choices=MODELS)
     run.add_argument("--seed-node", required=True, help="seed node label")
     run.add_argument("--ic-p", type=float, default=1.0,
                      help="cascade success probability (default 1.0)")

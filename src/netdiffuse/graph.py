@@ -75,8 +75,12 @@ class Adjacency(NamedTuple):
 
     def induced(self, members: Sequence[int] | np.ndarray) -> Adjacency:
         """Rows and columns of ``members``, renumbered in ascending order:
-        exactly the edges with both ends among the members."""
+        exactly the edges with both ends among the members. Raises
+        UnknownNodeError for a member outside 0 .. node_count - 1."""
         keep = np.unique(np.asarray(members, dtype=np.int64))
+        if len(keep) and (keep[0] < 0 or keep[-1] >= self.node_count):
+            bad = keep[0] if keep[0] < 0 else keep[-1]
+            raise UnknownNodeError(f"no node with index {bad}")
         new_index = np.full(self.node_count, -1, dtype=np.int64)
         new_index[keep] = np.arange(len(keep))
         sources = new_index[self.sources()]
@@ -314,10 +318,8 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     Labels are preserved; new indices follow the old index order.
     """
     keep = sorted(set(nodes))
-    for v in keep:
-        if not g.has_node(v):
-            raise UnknownNodeError(f"no node with index {v}")
-    return Graph(tuple(g.labels[v] for v in keep), g.adjacency.induced(keep))
+    adjacency = g.adjacency.induced(keep)  # raises on a bad index, before any label is read
+    return Graph(tuple(g.labels[v] for v in keep), adjacency)
 
 
 def adjacency_bits(g: Graph) -> np.ndarray:

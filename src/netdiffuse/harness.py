@@ -6,25 +6,36 @@ the config, including the mean-aggregated series for N > 1 (shorter
 runs keep contributing their terminal state to later iterations, except
 the new-activation count, which is zero once a run has finished).
 
-reproduce_paper drives all four benchmark networks through all three
-models and emits the figure-equivalent CSV files plus a deviation report
-that covers every reference value, line by line.
+reproduce_paper drives all four benchmark networks (``DATASETS``)
+through all three models and emits the figure-equivalent CSV files plus
+a deviation report that covers every reference value, line by line.
+Both entry points load a graph, reduce it to its largest connected
+component and check the seed node in one place, ``_load_run_graph``.
 """
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
 from . import golden
-from .datasets import DATASET_NAMES, dataset_registry, load_dataset, require_datasets
-from .errors import ConfigError, GraphError, MissingSeedError, UnknownNodeError
-from .graph import Graph, decode_utf8, largest_connected_component, load_edge_list_path
-from .metrics import IterationMetrics, evaluate_trace, metrics_cells, write_metrics_csv
+from .errors import (
+    ConfigError, GraphError, MissingDatasetError, MissingSeedError, UnknownNodeError
+)
+from .graph import (
+    Graph, average_degree, decode_utf8, largest_connected_component, load_edge_list_path
+)
+from .metrics import (
+    METRICS_COLUMNS, IterationMetrics, evaluate_trace, metrics_cells, write_metrics_csv
+)
 from .models import DiffusionTrace, ModelParams, run_cns, run_ic, run_si
 
 __all__ = [
+    "DATASETS",
+    "DATASET_NAMES",
+    "MODELS",
     "ExperimentConfig",
     "ModelResult",
     "ComparisonReport",
@@ -34,18 +45,24 @@ __all__ = [
     "reproduce_paper",
 ]
 
+logger = logging.getLogger(__name__)
+
 MODELS = ("cns", "ic", "si")
 
-# Mean-series fields, in metrics-CSV column order.
-_MEAN_FIELDS = (
-    "new_active",
-    "cum_active",
-    "coverage",
-    "diameter",
-    "avg_distance",
-    "density",
-    "avg_degree",
-)
+# The benchmark networks, each read from <data dir>/<name>.txt, with the
+# expected (nodes, edges) after symmetrization, dedup and reduction to the
+# largest connected component. A mismatch is logged, not fatal: edge-list
+# provenance varies and the simulation only needs a valid graph.
+DATASETS = {
+    "karate": (34, 78),
+    "lesmis": (77, 254),
+    "jazz": (198, 2742),
+    "polblogs": (1224, 16718),
+}
+DATASET_NAMES = tuple(DATASETS)
+
+# Mean-series fields: the metric columns of the metrics CSV.
+_MEAN_FIELDS = METRICS_COLUMNS[5:]
 
 
 @dataclass(frozen=True)
@@ -58,7 +75,6 @@ class ExperimentConfig:
     rng_seed: int = 42
     runs: int = 1
     max_iterations: int | None = None
-    dataset_name: str | None = None
     # Built from ic_probability, si_beta and rng_seed; ModelParams range-checks them.
     params: ModelParams = field(init=False, repr=False, compare=False)
 
@@ -85,7 +101,7 @@ class ExperimentConfig:
 
     @property
     def dataset(self) -> str:
-        return self.dataset_name or Path(self.graph_path).stem
+        return Path(self.graph_path).stem
 
 
 @dataclass
@@ -108,6 +124,8 @@ class ComparisonReport:
 
 
 def _load_run_graph(path: Path | str, seed_node: str) -> Graph:
+    """The largest connected component of the graph at ``path``; raises
+    UnknownNodeError unless it holds ``seed_node``."""
     full = load_edge_list_path(path)
     g = largest_connected_component(full)
     if not g.has_label(seed_node):
@@ -271,33 +289,38 @@ def reproduce_paper(
     data_dir: Path | str,
     output_dir: Path | str,
     seeds: dict[str, str] | None = None,
-    rng_seed: int = 42,
 ) -> list[Path]:
     """Run every benchmark through every model and emit figure CSVs.
 
     Writes fig2_iterations.csv, one CSV per per-iteration metric figure,
     and deviations.txt. Returns the written paths. Raises when datasets
-    or seed configuration are missing; reference mismatch is reported,
-    never raised.
+    or seed configuration are missing, or a seed is not in its dataset's
+    largest connected component; reference mismatch is reported, never
+    raised.
     """
-    registry = dataset_registry(data_dir)
-    require_datasets(registry)
+    data = Path(data_dir)
+    missing = [name for name in DATASETS if not (data / f"{name}.txt").is_file()]
+    if missing:
+        raise MissingDatasetError(missing)
     resolved = _resolve_seeds(seeds or {})
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    params = ModelParams(ic_probability=1.0, si_beta=0.5, rng_seed=rng_seed)
+    params = ModelParams(ic_probability=1.0, si_beta=0.5, rng_seed=42)
     produced: dict[tuple[str, str], list[IterationMetrics]] = {}
     avg_degrees: dict[str, float] = {}
-    for name in DATASET_NAMES:
-        g = load_dataset(registry[name])
+    for name, expected in DATASETS.items():
         seed = resolved[name]
-        if not g.has_label(seed):
-            raise UnknownNodeError(
-                f"dataset {name}: seed node {seed!r} is not in the "
-                "largest connected component"
+        try:
+            g = _load_run_graph(data / f"{name}.txt", seed)
+        except UnknownNodeError as exc:
+            raise UnknownNodeError(f"dataset {name}: {exc}") from None
+        if (g.node_count, g.edge_count) != expected:
+            logger.warning(
+                "dataset %s: loaded %d nodes / %d edges, registry expects %d / %d",
+                name, g.node_count, g.edge_count, *expected,
             )
-        avg_degrees[name] = 2 * g.edge_count / g.node_count
+        avg_degrees[name] = average_degree(g)
         for model in MODELS:
             trace = _run_model(g, model, seed, params)
             produced[(name, model)] = evaluate_trace(g, trace)

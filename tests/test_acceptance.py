@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from netdiffuse.cli import main
-from netdiffuse.datasets import DATASET_NAMES, dataset_registry, load_dataset
-from netdiffuse.graph import bfs_distances
-from netdiffuse.harness import reproduce_paper
+from netdiffuse.graph import bfs_distances, largest_connected_component, load_edge_list_path
+from netdiffuse.harness import DATASET_NAMES, reproduce_paper
 from netdiffuse.metrics import evaluate_trace
 from netdiffuse.models import ModelParams, run_cns, run_ic, run_si
 from netdiffuse.ties import build_tie_strength_table
@@ -38,8 +37,10 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def graphs(data_dir):
-    registry = dataset_registry(data_dir)
-    return {name: load_dataset(registry[name]) for name in DATASET_NAMES}
+    return {
+        name: largest_connected_component(load_edge_list_path(data_dir / f"{name}.txt"))
+        for name in DATASET_NAMES
+    }
 
 
 @pytest.fixture(scope="module")

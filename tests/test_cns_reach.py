@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdiffuse.datasets import DATASET_NAMES
 from netdiffuse.graph import graph_from_edges, load_edge_list_path
+from netdiffuse.harness import DATASET_NAMES
 from netdiffuse.models import cns_activate, run_cns
 from netdiffuse.ties import build_tie_strength_table, contributors
 

@@ -383,6 +383,16 @@ class TestInducedAdjacency:
         )
         self.induced(g, members)
 
+    @pytest.mark.parametrize(
+        "members, bad",
+        [([-1, 1], -1), ([3], 3), ([2, 0, 3, 1], 3), ([1, -2, 2, 7], -2)],
+    )
+    def test_out_of_range_member(self, members, bad):
+        g = graph_from_text("a b\nb c\n")
+        for induce in (g.adjacency.induced, lambda m: induced_subgraph(g, m)):
+            with pytest.raises(UnknownNodeError, match=f"^no node with index {bad}$"):
+                induce(members)
+
 
 class TestAdjacencyBits:
     """Packed rows against ``np.packbits`` of the dense adjacency."""

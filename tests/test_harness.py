@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import netdiffuse
 from netdiffuse.cli import main
-from netdiffuse.datasets import DATASET_NAMES
 from netdiffuse.errors import (
     ConfigError,
     GraphError,
@@ -26,6 +25,7 @@ from netdiffuse.errors import (
     UnknownNodeError,
 )
 from netdiffuse.harness import (
+    DATASET_NAMES,
     ExperimentConfig,
     parse_seeds_file,
     reproduce_paper,
@@ -207,6 +207,32 @@ class TestReproduce:
             reproduce_paper(data_dir, tmp_path / "out", seeds={})
         # karate falls back to its default origin, the rest do not guess
         assert exc.value.names == ["lesmis", "jazz", "polblogs"]
+
+    @staticmethod
+    def seed_cut_off(tmp_path):
+        """Four two-component datasets; karate's seed is in the smaller one."""
+        for name in DATASET_NAMES:
+            (tmp_path / f"{name}.txt").write_text("a b\nb c\nx y\n", encoding="utf-8")
+        return {"karate": "x", "lesmis": "a", "jazz": "a", "polblogs": "a"}
+
+    def test_seed_cut_off_by_reduction(self, tmp_path):
+        seeds = self.seed_cut_off(tmp_path)
+        with pytest.raises(UnknownNodeError, match="^dataset karate: .*largest-connected-component"):
+            reproduce_paper(tmp_path, tmp_path / "out", seeds)
+
+    def test_seed_cut_off_by_reduction_cli(self, tmp_path):
+        seeds = self.seed_cut_off(tmp_path)
+        seeds_file = tmp_path / "seeds.txt"
+        seeds_file.write_text("".join(f"{k}={v}\n" for k, v in seeds.items()), encoding="utf-8")
+        code, err = _run_cli(
+            ["reproduce", "--data-dir", str(tmp_path), "--out-dir", str(tmp_path / "out"),
+             "--seeds", str(seeds_file)]
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            "netdiffuse: dataset karate: seed node 'x' was removed by the "
+            "largest-connected-component reduction (5 -> 3 nodes)"
+        ]
 
 
 class TestCli:
