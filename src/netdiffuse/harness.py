@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO
+
+import numpy as np
 
 from . import golden
 from .errors import (
@@ -28,7 +30,7 @@ from .graph import (
     Graph, average_degree, decode_utf8, largest_connected_component, load_edge_list_path
 )
 from .metrics import (
-    METRICS_COLUMNS, IterationMetrics, evaluate_trace, metrics_cells, write_metrics_csv
+    METRICS_COLUMNS, IterationMetrics, evaluate_trace, format_cell, metrics_cells
 )
 from .models import DiffusionTrace, ModelParams, run_cns, run_ic, run_si
 
@@ -154,9 +156,7 @@ def _run_model(
 
 
 def _mean_series(
-    traces: list[DiffusionTrace],
-    metrics: list[list[IterationMetrics]],
-    finals: list[IterationMetrics],
+    metrics: list[list[IterationMetrics]], finals: list[IterationMetrics]
 ) -> tuple[list[dict[str, float]], list[int]]:
     """Per-iteration means across runs, terminal-value padded.
 
@@ -165,27 +165,18 @@ def _mean_series(
     Returns the series and, per iteration, how many runs needed padding.
     """
     longest = max(len(rows) for rows in metrics)
-    series: list[dict[str, float]] = []
-    padded: list[int] = []
-    n_runs = len(traces)
-    for t in range(longest):
-        acc = dict.fromkeys(_MEAN_FIELDS, 0.0)
-        pad_count = 0
-        for trace, rows, final in zip(traces, metrics, finals):
-            if t < len(rows):
-                row = rows[t]
-                acc["new_active"] += len(trace.iterations[t].newly_active)
-            else:
-                row = final
-                pad_count += 1
-            acc["cum_active"] += row.horizon_nodes
-            acc["coverage"] += row.coverage
-            acc["diameter"] += row.diameter
-            acc["avg_distance"] += row.avg_distance
-            acc["density"] += row.density
-            acc["avg_degree"] += row.avg_degree
-        series.append({k: v / n_runs for k, v in acc.items()})
-        padded.append(pad_count)
+    table = np.array(
+        [
+            [row.values() for row in rows]
+            + [replace(final, new_active=0).values()] * (longest - len(rows))
+            for rows, final in zip(metrics, finals)
+        ],
+        dtype=np.float64,
+    )
+    # Summing over axis 0 adds the runs one at a time, in run order.
+    means = table.sum(axis=0) / len(metrics)
+    series = [dict(zip(_MEAN_FIELDS, row)) for row in means.tolist()]
+    padded = [sum(len(rows) <= t for rows in metrics) for t in range(longest)]
     return series, padded
 
 
@@ -204,7 +195,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
             rows[-1] if rows else evaluate_trace(g, t, include_initial=True)[0]
             for t, rows in zip(traces, metrics)
         ]
-        result.mean_series, result.padded_runs = _mean_series(traces, metrics, finals)
+        result.mean_series, result.padded_runs = _mean_series(metrics, finals)
     return ComparisonReport(
         dataset=config.dataset,
         seed_node=config.seed_node,
@@ -213,34 +204,18 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     )
 
 
-def _report_rows(report: ComparisonReport) -> list[list[str]]:
-    rows: list[list[str]] = []
-    for name, result in report.results.items():
-        for run_number, (trace, per_run) in enumerate(
-            zip(result.traces, result.metrics), start=1
-        ):
-            for it, row in zip(trace.iterations, per_run):
-                rows.append(
-                    metrics_cells(
-                        report.dataset,
-                        name,
-                        run_number,
-                        report.seed_node,
-                        len(it.newly_active),
-                        row,
-                    )
-                )
-        if result.mean_series is not None:
-            for t, mean in enumerate(result.mean_series, start=1):
-                rows.append(
-                    [report.dataset, name, "mean", report.seed_node, str(t)]
-                    + [f"{mean[field]:.6f}" for field in _MEAN_FIELDS]
-                )
-    return rows
-
-
 def write_report_csv(report: ComparisonReport, stream: IO[str]) -> None:
-    write_metrics_csv(stream, _report_rows(report))
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(METRICS_COLUMNS)
+    for name, result in report.results.items():
+        for run_number, rows in enumerate(result.metrics, start=1):
+            writer.writerows(
+                metrics_cells(report.dataset, name, run_number, report.seed_node, row)
+                for row in rows
+            )
+        for t, mean in enumerate(result.mean_series or (), start=1):
+            cells = (format_cell(mean[field]) for field in _MEAN_FIELDS)
+            writer.writerow([report.dataset, name, "mean", report.seed_node, t, *cells])
 
 
 def parse_seeds_file(path: Path | str) -> dict[str, str]:
@@ -313,8 +288,9 @@ def reproduce_paper(
         seed = resolved[name]
         try:
             g = _load_run_graph(data / f"{name}.txt", seed)
-        except UnknownNodeError as exc:
-            raise UnknownNodeError(f"dataset {name}: {exc}") from None
+        except GraphError as exc:
+            exc.args = (f"dataset {name}: {exc}",)
+            raise
         if (g.node_count, g.edge_count) != expected:
             logger.warning(
                 "dataset %s: loaded %d nodes / %d edges, registry expects %d / %d",
@@ -327,27 +303,29 @@ def reproduce_paper(
 
     written: list[Path] = []
 
-    path = out / "fig2_iterations.csv"
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", "model", "iterations"])
-        for name in DATASET_NAMES:
-            for model in MODELS:
-                writer.writerow([name, model, len(produced[(name, model)])])
-    written.append(path)
-
-    for figure, metric in golden.FIGURE_METRICS.items():
-        path = out / f"{figure}_{metric}.csv"
+    def write_csv(path: Path, header: list[str], rows) -> None:
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["dataset", "model", "iteration", metric])
-            for name in DATASET_NAMES:
-                for model in MODELS:
-                    for row in produced[(name, model)]:
-                        value = _figure_value(figure, row)
-                        cell = str(value) if metric == "diameter" else f"{value:.6f}"
-                        writer.writerow([name, model, row.iteration, cell])
+            writer.writerow(header)
+            writer.writerows(rows)
         written.append(path)
+
+    # produced holds (dataset, model) keys in DATASET_NAMES x MODELS order.
+    write_csv(
+        out / "fig2_iterations.csv",
+        ["dataset", "model", "iterations"],
+        ([*key, len(rows)] for key, rows in produced.items()),
+    )
+    for figure, metric in golden.FIGURE_METRICS.items():
+        write_csv(
+            out / f"{figure}_{metric}.csv",
+            ["dataset", "model", "iteration", metric],
+            (
+                [*key, row.iteration, format_cell(_figure_value(figure, row))]
+                for key, rows in produced.items()
+                for row in rows
+            ),
+        )
 
     path = out / "deviations.txt"
     with path.open("w", encoding="utf-8") as fh:

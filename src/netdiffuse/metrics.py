@@ -9,12 +9,15 @@ distances come from one bit-packed breadth-first search from all of its
 nodes at once. Distance metrics skip disconnected pairs; a single-node
 horizon reports zeros across the board so pre-diffusion rows stay
 representable.
+
+An ``IterationMetrics`` row is the one record every output reads: its
+``values()`` are the metric columns of ``METRICS_COLUMNS`` in order, and
+``format_cell`` is the one rule for writing a metric cell (integers
+bare, floats to six decimals).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -25,8 +28,8 @@ __all__ = [
     "IterationMetrics",
     "METRICS_COLUMNS",
     "evaluate_trace",
+    "format_cell",
     "metrics_cells",
-    "write_metrics_csv",
 ]
 
 METRICS_COLUMNS = (
@@ -48,6 +51,7 @@ METRICS_COLUMNS = (
 @dataclass(frozen=True)
 class IterationMetrics:
     iteration: int
+    new_active: int
     coverage: float
     horizon_nodes: int
     horizon_edges: int
@@ -56,19 +60,25 @@ class IterationMetrics:
     density: float
     avg_degree: float
 
+    def values(self) -> tuple[int | float, ...]:
+        """The metric columns, in ``METRICS_COLUMNS[5:]`` order."""
+        return (self.new_active, self.horizon_nodes, self.coverage, self.diameter,
+                self.avg_distance, self.density, self.avg_degree)
+
 
 def _horizon_metrics(
-    adjacency: Adjacency, iteration: int, members: set[int]
+    adjacency: Adjacency, iteration: int, new_active: int, members: set[int]
 ) -> IterationMetrics:
     n = len(members)
     coverage = n / adjacency.node_count
     if n == 1:
-        return IterationMetrics(iteration, coverage, 1, 0, 0, 0.0, 0.0, 0.0)
+        return IterationMetrics(iteration, new_active, coverage, 1, 0, 0, 0.0, 0.0, 0.0)
     horizon = adjacency.induced(np.fromiter(members, dtype=np.int64, count=n))
     edges = len(horizon.indices) // 2
     diameter, total, pairs = distance_summary(horizon)
     return IterationMetrics(
         iteration=iteration,
+        new_active=new_active,
         coverage=coverage,
         horizon_nodes=n,
         horizon_edges=edges,
@@ -84,50 +94,29 @@ def evaluate_trace(
 ) -> list[IterationMetrics]:
     """One metrics row per trace iteration, computed on the horizon.
 
-    include_initial prepends an iteration-0 row for the seed-only state.
+    include_initial prepends an iteration-0 row for the seed-only state,
+    with no new activations.
     Labels are resolved against g, so a trace from another graph raises.
     """
     adjacency = g.adjacency
     members = {g.index(trace.seed)}
     rows: list[IterationMetrics] = []
     if include_initial:
-        rows.append(_horizon_metrics(adjacency, 0, members))
+        rows.append(_horizon_metrics(adjacency, 0, 0, members))
     for it in trace.iterations:
         members.update(g.index(label) for label in it.newly_active)
-        rows.append(_horizon_metrics(adjacency, it.index, members))
+        rows.append(_horizon_metrics(adjacency, it.index, len(it.newly_active), members))
     return rows
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+def format_cell(value: int | float) -> str:
+    """One metric cell: integers bare, floats to six decimals."""
+    return str(value) if isinstance(value, int) else f"{value:.6f}"
 
 
 def metrics_cells(
-    dataset: str,
-    model: str,
-    run: int | str,
-    seed_node: str,
-    new_active: int,
-    row: IterationMetrics,
+    dataset: str, model: str, run: int | str, seed_node: str, row: IterationMetrics
 ) -> list[str]:
-    """One CSV row in schema order; integer columns stay undecorated."""
-    return [
-        dataset,
-        model,
-        str(run),
-        seed_node,
-        str(row.iteration),
-        str(new_active),
-        str(row.horizon_nodes),
-        _fmt(row.coverage),
-        str(row.diameter),
-        _fmt(row.avg_distance),
-        _fmt(row.density),
-        _fmt(row.avg_degree),
-    ]
-
-
-def write_metrics_csv(stream: IO[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(METRICS_COLUMNS)
-    writer.writerows(rows)
+    """One CSV row in ``METRICS_COLUMNS`` order."""
+    cells = map(format_cell, row.values())
+    return [dataset, model, str(run), seed_node, str(row.iteration), *cells]

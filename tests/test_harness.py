@@ -19,6 +19,8 @@ import netdiffuse
 from netdiffuse.cli import main
 from netdiffuse.errors import (
     ConfigError,
+    EdgeListParseError,
+    EmptyInputError,
     GraphError,
     MissingDatasetError,
     MissingSeedError,
@@ -26,6 +28,7 @@ from netdiffuse.errors import (
 )
 from netdiffuse.harness import (
     DATASET_NAMES,
+    MODELS,
     ExperimentConfig,
     parse_seeds_file,
     reproduce_paper,
@@ -43,6 +46,29 @@ CNS_RUN_SHA256 = {
     ("lesmis", "Myriel"): "c3bfc93551cadca695c4bb5f9488d7cdd7a33133f6307f637630ba25e8a76a04",
     ("jazz", "68"): "e759821fae03f9005c149ed9267443473c45b9a01487001b65c7f08ad0e3798c",
     ("polblogs", "693"): "ac9742d0a97fe7cf8fe566117f43574f84186d6e42905827856b1bfab01b775d",
+}
+
+# sha256 of multi-run `netdiffuse run` CSVs, per-run rows plus the mean
+# block: some karate runs activate nobody, and every lesmis run is cut
+# off by the round cap.
+MULTI_RUN_SHA256 = {
+    ("karate", "--model ic --ic-p 0.05 --runs 20 --seed-node 2"):
+        "37a2d48ce612bef55adafb633a2120454591f3a8b05e2d43159d6feb41a132e8",
+    ("polblogs", "--model si --runs 5 --seed-node 693"):
+        "1bd9efb23defa63a03c673140d22cd0d535c74676043c1a6bd9ff7a4742e450b",
+    ("lesmis", "--model si --max-iterations 3 --runs 4 --seed-node Valjean"):
+        "baa3f6adf2044644d17282832fb831d0ac11b76889a37d618355618d27166bc4",
+}
+
+# sha256 of each `netdiffuse reproduce --seeds data/seeds_example.txt` file.
+REPRODUCE_SHA256 = {
+    "deviations.txt": "84718d82436d0f47fc5c2fed20571ea318773cb2f6f470d7aa818a500c10a53a",
+    "fig2_iterations.csv": "f7b729a5517ec5c5bb8d33ab8d8ea993163ec475855ce2d5cc0387a8c789783a",
+    "fig3_coverage.csv": "a5145b2ca159e42a8326c1ac0b5dc4321bf32eac6fc4ddff4c3f717235c9c203",
+    "fig4_diameter.csv": "6053f51bc43d8134fb77171e53d7edde1839bea113c54190a4069b5e6e5b6b40",
+    "fig5_avg_distance.csv": "9d63f345f78df1c31e728fabf8b36bdc36fafd8d5fcf0bc82087a13118776e28",
+    "fig6_density.csv": "4579a68e25709a2ac84fb9138098003cf5a391f752f2708491385d6673da2045",
+    "fig7_avg_degree.csv": "7cff7181e60e9a09d82ed05a4141c0f1680e49173fbb6109e53fec25b00335a2",
 }
 
 
@@ -234,6 +260,28 @@ class TestReproduce:
             "largest-connected-component reduction (5 -> 3 nodes)"
         ]
 
+    @pytest.mark.parametrize("jazz, error, message", [
+        (b"a b c\n", EdgeListParseError, "line 1: expected two tokens, got 3: 'a b c'"),
+        (b"# no edges\na a\n", EmptyInputError, "edge list contains no usable edges"),
+        (b"a b\n\xff c\n", EdgeListParseError, "line 2: not valid UTF-8"),
+    ], ids=["parse-error", "no-usable-edges", "invalid-utf8"])
+    def test_load_error_names_the_dataset(self, tmp_path, jazz, error, message):
+        for name in DATASET_NAMES:
+            (tmp_path / f"{name}.txt").write_text("a b\nb c\n", encoding="utf-8")
+        (tmp_path / "jazz.txt").write_bytes(jazz)
+        seeds = dict.fromkeys(DATASET_NAMES, "a")
+        with pytest.raises(error) as exc:
+            reproduce_paper(tmp_path, tmp_path / "out", seeds)
+        assert str(exc.value) == f"dataset jazz: {message}"
+        seeds_file = tmp_path / "seeds.txt"
+        seeds_file.write_text("".join(f"{k}=a\n" for k in seeds), encoding="utf-8")
+        code, err = _run_cli(
+            ["reproduce", "--data-dir", str(tmp_path), "--out-dir", str(tmp_path / "out"),
+             "--seeds", str(seeds_file)]
+        )
+        assert code == 2
+        assert err.splitlines() == [f"netdiffuse: dataset jazz: {message}"]
+
 
 class TestCli:
     def test_run_writes_csv(self, karate_path, tmp_path, capsys):
@@ -299,6 +347,17 @@ class TestCli:
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == CNS_RUN_SHA256[(dataset, seed)]
+
+    @pytest.mark.parametrize("dataset, flags", sorted(MULTI_RUN_SHA256))
+    def test_multi_run_csv_byte_identical(self, data_dir, tmp_path, dataset, flags):
+        out = tmp_path / "runs.csv"
+        code, _ = _run_cli(
+            ["run", "--graph", str(data_dir / f"{dataset}.txt"), *flags.split(),
+             "--out", str(out)]
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == MULTI_RUN_SHA256[(dataset, flags)]
 
     def test_runs_on_deterministic_model_is_usage_error(self, karate_path, capsys):
         code = main(
@@ -435,6 +494,52 @@ class TestReproduceOutputs:
         assert len(rows) == 12
         karate_cns = [r for r in rows if r["dataset"] == "karate" and r["model"] == "cns"]
         assert karate_cns[0]["iterations"] == "3"
+
+
+@pytest.fixture(scope="module")
+def example_out_dir(data_dir, tmp_path_factory):
+    """`netdiffuse reproduce` on the bundled data with its example seeds."""
+    out = tmp_path_factory.mktemp("repro_example")
+    code, _ = _run_cli(
+        ["reproduce", "--data-dir", str(data_dir), "--out-dir", str(out),
+         "--seeds", str(data_dir / "seeds_example.txt")]
+    )
+    assert code == 0
+    return out
+
+
+class TestReproduceMatchesRun:
+    @pytest.mark.parametrize("name", sorted(REPRODUCE_SHA256))
+    def test_file_byte_identical(self, example_out_dir, name):
+        digest = hashlib.sha256((example_out_dir / name).read_bytes()).hexdigest()
+        assert digest == REPRODUCE_SHA256[name]
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("dataset", ["karate", "lesmis"])
+    def test_figure_cells_equal_run_cells(self, data_dir, example_out_dir, tmp_path,
+                                          dataset, model):
+        """`run` with its defaults (ic-p 1, si-beta 0.5, rng-seed 42) is run 0 of
+        the configuration `reproduce` uses, so their cells must agree."""
+        seed = parse_seeds_file(data_dir / "seeds_example.txt")[dataset]
+        out = tmp_path / "run.csv"
+        code, _ = _run_cli(
+            ["run", "--graph", str(data_dir / f"{dataset}.txt"), "--model", model,
+             "--seed-node", seed, "--out", str(out)]
+        )
+        assert code == 0
+        with out.open(newline="") as fh:
+            run_rows = list(csv.DictReader(fh))
+        with (example_out_dir / "fig2_iterations.csv").open(newline="") as fh:
+            (count,) = [r["iterations"] for r in csv.DictReader(fh)
+                        if (r["dataset"], r["model"]) == (dataset, model)]
+        assert count == str(len(run_rows))
+        for figure in ("fig3", "fig4", "fig5", "fig6", "fig7"):
+            (path,) = example_out_dir.glob(f"{figure}_*.csv")
+            metric = path.stem.partition("_")[2]
+            with path.open(newline="") as fh:
+                cells = [(r["iteration"], r[metric]) for r in csv.DictReader(fh)
+                         if (r["dataset"], r["model"]) == (dataset, model)]
+            assert cells == [(r["iteration"], r[metric]) for r in run_rows]
 
 
 # Inputs for the robustness properties: raw bytes, and text built from a

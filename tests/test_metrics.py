@@ -167,7 +167,10 @@ class TestDistanceKernel:
         rows = evaluate_trace(g, trace, include_initial=True)
         members = {0}
         added = [()] + [it.newly_active for it in iterations]
+        assert rows[0].new_active == 0
         for row, labels in zip(rows, added, strict=True):
+            assert row.new_active == len(labels)
+            assert dict(zip(METRICS_COLUMNS[5:], row.values()))["cum_active"] == row.horizon_nodes
             members.update(g.index(label) for label in labels)
             horizon = induced_subgraph(g, members)
             assert row.horizon_nodes == horizon.node_count
@@ -283,7 +286,7 @@ class TestCsvCells:
 
     def test_formatting(self, karate):
         rows = evaluate_trace(karate, run_cns(karate, "2"))
-        cells = metrics_cells("karate", "cns", 1, "2", 10, rows[0])
+        cells = metrics_cells("karate", "cns", 1, "2", rows[0])
         assert cells == [
             "karate",
             "cns",
