@@ -41,13 +41,10 @@ from .ties import (
 from .models import (
     DiffusionTrace,
     ModelParams,
-    TraceIteration,
     cns_activate,
     run_cns,
     run_ic,
     run_si,
-    trace_from_json,
-    trace_to_json,
 )
 from .metrics import IterationMetrics, evaluate_trace
 from .harness import (

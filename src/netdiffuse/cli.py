@@ -26,6 +26,7 @@ from .harness import (
     run_experiment,
     write_report_csv,
 )
+from .models import ModelParams
 from .ties import build_tie_strength_table, dump_tie_table
 
 __all__ = ["main", "build_parser"]
@@ -85,9 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         graph_path=args.graph,
         model=args.model,
         seed_node=args.seed_node,
-        ic_probability=args.ic_p,
-        si_beta=args.si_beta,
-        rng_seed=args.rng_seed,
+        params=ModelParams(args.ic_p, args.si_beta, args.rng_seed),
         runs=args.runs,
         max_iterations=args.max_iterations,
     )

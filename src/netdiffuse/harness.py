@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO
 
@@ -72,21 +72,15 @@ class ExperimentConfig:
     graph_path: Path | str
     model: str
     seed_node: str
-    ic_probability: float = 1.0
-    si_beta: float = 0.5
-    rng_seed: int = 42
+    params: ModelParams = ModelParams()
     runs: int = 1
     max_iterations: int | None = None
-    # Built from ic_probability, si_beta and rng_seed; ModelParams range-checks them.
-    params: ModelParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r} (choose from {MODELS})")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        params = ModelParams(self.ic_probability, self.si_beta, self.rng_seed)
-        object.__setattr__(self, "params", params)
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ConfigError(f"max iterations must be >= 1, got {self.max_iterations}")
         if self.runs > 1 and not self.is_stochastic:
@@ -99,7 +93,7 @@ class ExperimentConfig:
     def is_stochastic(self) -> bool:
         if self.model == "si":
             return True
-        return self.model == "ic" and self.ic_probability < 1.0
+        return self.model == "ic" and self.params.ic_probability < 1.0
 
     @property
     def dataset(self) -> str:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnknownNodeError
 from .graph import Adjacency, Graph, distance_summary
 from .models import DiffusionTrace
 
@@ -67,13 +68,13 @@ class IterationMetrics:
 
 
 def _horizon_metrics(
-    adjacency: Adjacency, iteration: int, new_active: int, members: set[int]
+    adjacency: Adjacency, iteration: int, new_active: int, members: np.ndarray
 ) -> IterationMetrics:
     n = len(members)
     coverage = n / adjacency.node_count
     if n == 1:
         return IterationMetrics(iteration, new_active, coverage, 1, 0, 0, 0.0, 0.0, 0.0)
-    horizon = adjacency.induced(np.fromiter(members, dtype=np.int64, count=n))
+    horizon = adjacency.induced(members)
     edges = len(horizon.indices) // 2
     diameter, total, pairs = distance_summary(horizon)
     return IterationMetrics(
@@ -95,17 +96,21 @@ def evaluate_trace(
     """One metrics row per trace iteration, computed on the horizon.
 
     include_initial prepends an iteration-0 row for the seed-only state,
-    with no new activations.
-    Labels are resolved against g, so a trace from another graph raises.
+    with no new activations. A trace recorded on a graph other than g
+    (neither the same object nor an equal graph) raises
+    UnknownNodeError.
     """
+    if trace.graph is not g and trace.graph != g:
+        raise UnknownNodeError("trace was recorded on a different graph")
     adjacency = g.adjacency
-    members = {g.index(trace.seed)}
+    active = np.zeros(g.node_count, dtype=bool)
+    active[trace.seed] = True
     rows: list[IterationMetrics] = []
     if include_initial:
-        rows.append(_horizon_metrics(adjacency, 0, 0, members))
-    for it in trace.iterations:
-        members.update(g.index(label) for label in it.newly_active)
-        rows.append(_horizon_metrics(adjacency, it.index, len(it.newly_active), members))
+        rows.append(_horizon_metrics(adjacency, 0, 0, np.flatnonzero(active)))
+    for t, nodes in enumerate(trace.iterations, start=1):
+        active[nodes] = True
+        rows.append(_horizon_metrics(adjacency, t, len(nodes), np.flatnonzero(active)))
     return rows
 
 

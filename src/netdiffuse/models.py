@@ -25,7 +25,6 @@ reproducible.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,14 +36,11 @@ from .ties import TieStrengthTable, build_tie_strength_table
 
 __all__ = [
     "ModelParams",
-    "TraceIteration",
     "DiffusionTrace",
     "cns_activate",
     "run_cns",
     "run_ic",
     "run_si",
-    "trace_to_json",
-    "trace_from_json",
 ]
 
 SI_CAP_FACTOR = 10
@@ -66,79 +62,25 @@ class ModelParams:
             raise ConfigError(f"si beta not in [0, 1]: {self.si_beta}")
 
 
-@dataclass(frozen=True)
-class TraceIteration:
-    index: int
-    newly_active: tuple[str, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionTrace:
-    """One run of one model from one seed, as per-round label sets.
+    """One run of one model from one seed, as per-round node-index arrays.
 
-    Labels keep the trace meaningful away from the graph object; callers
-    that need indices resolve them against the source graph. node_count
-    is the size of the graph the run saw, so coverage is computable from
-    the trace alone. truncated marks runs stopped by an iteration cap
-    with spreadable or unreachable nodes left over.
+    graph is the graph the run saw and seed the seed's index in it.
+    iterations[t] holds the nodes round t + 1 activated, as an ascending
+    int64 index array. truncated marks runs stopped by an iteration cap
+    with spreadable or unreachable nodes left over. There is no
+    field-wise equality: arrays have no single truth value.
     """
 
-    model: str
-    seed: str
-    params: dict
-    node_count: int
-    iterations: tuple[TraceIteration, ...]
+    graph: Graph
+    seed: int
+    iterations: tuple[np.ndarray, ...]
     truncated: bool = False
 
     @property
     def total_iterations(self) -> int:
         return len(self.iterations)
-
-    def cumulative_labels(self, upto: int | None = None) -> set[str]:
-        """Active labels after iteration `upto` (0 = seed only, None = all)."""
-        if upto is None:
-            upto = len(self.iterations)
-        out = {self.seed}
-        for it in self.iterations[:upto]:
-            out.update(it.newly_active)
-        return out
-
-    def cumulative_counts(self) -> list[int]:
-        counts = []
-        total = 1
-        for it in self.iterations:
-            total += len(it.newly_active)
-            counts.append(total)
-        return counts
-
-    def coverage_series(self) -> list[float]:
-        return [c / self.node_count for c in self.cumulative_counts()]
-
-    @property
-    def final_coverage(self) -> float:
-        return self.cumulative_counts()[-1] / self.node_count if self.iterations else 1.0 / self.node_count
-
-
-def _finish(
-    g: Graph,
-    model: str,
-    seed: int,
-    params: dict,
-    rounds: list[np.ndarray],
-    truncated: bool,
-) -> DiffusionTrace:
-    iterations = tuple(
-        TraceIteration(index=i + 1, newly_active=tuple(sorted(g.labels[v] for v in nodes)))
-        for i, nodes in enumerate(rounds)
-    )
-    return DiffusionTrace(
-        model=model,
-        seed=g.label(seed),
-        params=params,
-        node_count=g.node_count,
-        iterations=iterations,
-        truncated=truncated,
-    )
 
 
 def cns_activate(
@@ -157,26 +99,26 @@ def cns_activate(
 
 
 def _cascade(
-    n: int,
+    g: Graph,
     s: int,
     spread: Callable[[np.ndarray, np.ndarray], np.ndarray],
     max_iterations: int | None,
-) -> tuple[list[np.ndarray], bool]:
-    """Rounds and truncated flag of a cascade from ``s`` in which only the
-    last round's activations act: ``spread(frontier, active)`` returns the
-    inactive nodes they activate, ascending."""
-    active = np.zeros(n, dtype=bool)
+) -> DiffusionTrace:
+    """A cascade from ``s`` in which only the last round's activations
+    act: ``spread(frontier, active)`` returns the inactive nodes they
+    activate, ascending."""
+    active = np.zeros(g.node_count, dtype=bool)
     active[s] = True
     frontier = np.array([s])
     rounds: list[np.ndarray] = []
     while len(frontier):
         if max_iterations is not None and len(rounds) >= max_iterations:
-            return rounds, not active.all()
+            return DiffusionTrace(g, s, tuple(rounds), not active.all())
         frontier = spread(frontier, active)
         if len(frontier):
             rounds.append(frontier)
             active[frontier] = True
-    return rounds, False
+    return DiffusionTrace(g, s, tuple(rounds))
 
 
 def run_cns(
@@ -198,9 +140,7 @@ def run_cns(
     def spread(frontier: np.ndarray, active: np.ndarray) -> np.ndarray:
         return np.flatnonzero(reach[frontier].any(axis=0) & ~active)
 
-    rounds, truncated = _cascade(g.node_count, s, spread, max_iterations)
-    params = {"max_iterations": max_iterations}
-    return _finish(g, "cns", s, params, rounds, truncated)
+    return _cascade(g, s, spread, max_iterations)
 
 
 def _stream(rng_seed: int, run_index: int) -> np.random.Generator:
@@ -231,14 +171,7 @@ def run_ic(
         # random() lives in [0, 1), so p = 1 always succeeds.
         return np.unique(targets[rng.random(len(targets)) < p])
 
-    rounds, truncated = _cascade(g.node_count, s, spread, max_iterations)
-    out_params = {
-        "p": p,
-        "rng_seed": params.rng_seed,
-        "run_index": run_index,
-        "max_iterations": max_iterations,
-    }
-    return _finish(g, "ic", s, out_params, rounds, truncated)
+    return _cascade(g, s, spread, max_iterations)
 
 
 def run_si(
@@ -283,41 +216,4 @@ def run_si(
         if len(newly):
             rounds.append(newly)
             infected[newly] = True
-    out_params = {
-        "beta": beta,
-        "rng_seed": params.rng_seed,
-        "run_index": run_index,
-        "cap": cap,
-    }
-    return _finish(g, "si", s, out_params, rounds, truncated)
-
-
-def trace_to_json(trace: DiffusionTrace) -> str:
-    payload = {
-        "model": trace.model,
-        "seed": trace.seed,
-        "params": trace.params,
-        "node_count": trace.node_count,
-        "truncated": trace.truncated,
-        "iterations": [
-            {"index": it.index, "newly_active": list(it.newly_active)}
-            for it in trace.iterations
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def trace_from_json(text: str) -> DiffusionTrace:
-    payload = json.loads(text)
-    iterations = tuple(
-        TraceIteration(index=it["index"], newly_active=tuple(it["newly_active"]))
-        for it in payload["iterations"]
-    )
-    return DiffusionTrace(
-        model=payload["model"],
-        seed=payload["seed"],
-        params=payload["params"],
-        node_count=payload["node_count"],
-        iterations=iterations,
-        truncated=payload["truncated"],
-    )
+    return DiffusionTrace(g, s, tuple(rounds), truncated)

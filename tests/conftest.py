@@ -56,6 +56,21 @@ def star_graph(leaves: int) -> Graph:
     return graph_from_edges([("c", f"l{i}") for i in range(leaves)])
 
 
+def cumulative_sets(trace) -> list[set[int]]:
+    """Active node indices of a trace: entry t is the set after round t,
+    entry 0 the seed alone."""
+    sets = [{trace.seed}]
+    for nodes in trace.iterations:
+        sets.append(sets[-1] | set(nodes.tolist()))
+    return sets
+
+
+def trace_key(trace) -> tuple:
+    """Everything a run produced, comparable with ==: seed, rounds and
+    truncated flag."""
+    return trace.seed, [nodes.tolist() for nodes in trace.iterations], trace.truncated
+
+
 @pytest.fixture(scope="session")
 def karate() -> Graph:
     return load_edge_list_path(DATA_DIR / "karate.txt")

@@ -6,7 +6,6 @@ budgets are stated inline next to each check.
 """
 from __future__ import annotations
 
-import json
 import random
 import time
 
@@ -20,7 +19,7 @@ from netdiffuse.metrics import evaluate_trace
 from netdiffuse.models import ModelParams, run_cns, run_ic, run_si
 from netdiffuse.ties import build_tie_strength_table
 
-from conftest import er_graph
+from conftest import cumulative_sets, er_graph, trace_key
 from test_models import check_monotone_and_closed
 from test_ties import as_tuple, oracle_breakdown
 
@@ -86,9 +85,10 @@ def test_criterion_2_ic_p1_is_bfs(graphs):
     for g, seed in cases:
         trace = run_ic(g, seed)
         dist = bfs_distances(g, g.index(seed))
+        sets = cumulative_sets(trace)
         for t in range(trace.total_iterations + 1):
-            ball = {g.label(v) for v, d in dist.items() if d <= t}
-            assert trace.cumulative_labels(t) == ball
+            ball = {v for v, d in dist.items() if d <= t}
+            assert sets[t] == ball
     elapsed = time.perf_counter() - start
     _verdict(
         "criterion 2: IC(p=1) produces BFS balls",
@@ -99,7 +99,7 @@ def test_criterion_2_ic_p1_is_bfs(graphs):
 
 def test_criterion_3_karate_ic_coverage(graphs):
     trace = run_ic(graphs["karate"], "2")
-    coverage = trace.coverage_series()
+    coverage = [len(s) / graphs["karate"].node_count for s in cumulative_sets(trace)[1:]]
     expected = (0.2941, 0.6764, 1.0000)
     ok = trace.total_iterations == 3 and all(
         abs(c - e) <= 0.0001 for c, e in zip(coverage, expected)
@@ -114,7 +114,7 @@ def test_criterion_3_karate_ic_coverage(graphs):
 def test_criterion_4_karate_cns_two_tier(graphs, repro):
     trace = run_cns(graphs["karate"], "2")
     rows = evaluate_trace(graphs["karate"], trace)
-    final_nodes = trace.cumulative_counts()[-1] if trace.iterations else 1
+    final_nodes = len(cumulative_sets(trace)[-1])
 
     tier1 = abs(trace.total_iterations - 3) <= 1 and abs(final_nodes - 33) <= 2
     out_dir, _, _ = repro
@@ -186,22 +186,21 @@ def test_criterion_6_si_distribution(graphs):
     for k in range(1000):
         trace = run_si(g, "2", params, run_index=k)
         check_monotone_and_closed(g, trace)
-        assert not trace.truncated and trace.final_coverage == 1.0
+        assert not trace.truncated and len(cumulative_sets(trace)[-1]) == g.node_count
         totals.append(trace.total_iterations)
     elapsed = time.perf_counter() - start
 
     ic = run_ic(g, "2")
-    byte_identical = all(
-        json.dumps([it.newly_active for it in run_si(g, "2", ModelParams(si_beta=1.0), run_index=k).iterations])
-        == json.dumps([it.newly_active for it in ic.iterations])
+    identical = all(
+        trace_key(run_si(g, "2", ModelParams(si_beta=1.0), run_index=k)) == trace_key(ic)
         for k in range(3)
     )
     lo, hi = np.percentile(totals, [5, 95])
-    ok = byte_identical and lo <= 5 <= hi and elapsed < 30.0
+    ok = identical and lo <= 5 <= hi and elapsed < 30.0
     _verdict(
         "criterion 6: SI distribution and beta=1 degeneracy",
         ok,
-        f"central 90% [{lo:.0f}, {hi:.0f}], beta1==ic {byte_identical}, {elapsed:.1f}s",
+        f"central 90% [{lo:.0f}, {hi:.0f}], beta1==ic {identical}, {elapsed:.1f}s",
     )
 
 

@@ -72,7 +72,7 @@ class SetCascade:
             rounds.append(newly)
             active |= newly
             frontier = sorted(newly)
-        return [{self.g.label(v) for v in r} for r in rounds], truncated
+        return rounds, truncated
 
 
 def assert_reach_rows_match(g, table, oracle):
@@ -86,8 +86,8 @@ def assert_reach_rows_match(g, table, oracle):
 def assert_cascade_matches(g, table, oracle, seed, max_iterations=None):
     trace = run_cns(g, seed, table=table, max_iterations=max_iterations)
     rounds, truncated = oracle.run(seed, max_iterations)
-    assert [set(it.newly_active) for it in trace.iterations] == rounds
-    assert [it.index for it in trace.iterations] == list(range(1, len(rounds) + 1))
+    assert [set(nodes.tolist()) for nodes in trace.iterations] == rounds
+    assert all((np.diff(nodes) > 0).all() for nodes in trace.iterations)
     assert trace.truncated == truncated
 
 

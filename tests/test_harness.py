@@ -89,26 +89,28 @@ class TestConfigValidation:
 
     def test_deterministic_cascade_counts_as_non_stochastic(self, karate_path):
         with pytest.raises(ConfigError):
-            ExperimentConfig(karate_path, "ic", "2", ic_probability=1.0, runs=3)
+            ExperimentConfig(karate_path, "ic", "2", ModelParams(ic_probability=1.0), runs=3)
 
     def test_stochastic_configs_allow_repeats(self, karate_path):
         ExperimentConfig(karate_path, "si", "2", runs=3)
-        ExperimentConfig(karate_path, "ic", "2", ic_probability=0.5, runs=3)
+        ExperimentConfig(karate_path, "ic", "2", ModelParams(ic_probability=0.5), runs=3)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"model": "bogus"},
             {"runs": 0},
-            {"ic_probability": 1.5},
-            {"si_beta": -0.1},
+            {"params": {"ic_probability": 1.5}},
+            {"params": {"si_beta": -0.1}},
             {"max_iterations": 0},
         ],
     )
     def test_rejected_values(self, karate_path, kwargs):
         base = {"graph_path": karate_path, "model": "si", "seed_node": "2"}
+        kwargs = dict(kwargs)
         with pytest.raises(ConfigError):
-            ExperimentConfig(**{**base, **kwargs})
+            params = ModelParams(**kwargs.pop("params", {}))
+            ExperimentConfig(**{**base, **kwargs, "params": params})
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -125,8 +127,9 @@ class TestConfigValidation:
         assert str(exc.value) == message
 
     def test_config_carries_its_model_params(self, karate_path):
-        config = ExperimentConfig(karate_path, "ic", "2", ic_probability=0.25, rng_seed=9)
+        config = ExperimentConfig(karate_path, "ic", "2", ModelParams(0.25, rng_seed=9))
         assert config.params == ModelParams(0.25, 0.5, 9)
+        assert config.is_stochastic
 
     def test_dataset_name_defaults_to_stem(self, karate_path):
         config = ExperimentConfig(karate_path, "cns", "2")
@@ -149,7 +152,7 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(path, "cns", "zz"))
 
     def test_mean_series_with_padding(self, karate_path):
-        config = ExperimentConfig(karate_path, "si", "2", si_beta=0.5, runs=4)
+        config = ExperimentConfig(karate_path, "si", "2", ModelParams(si_beta=0.5), runs=4)
         report = run_experiment(config)
         result = report.results["si"]
         lengths = [len(rows) for rows in result.metrics]
@@ -167,11 +170,11 @@ class TestRunExperiment:
         )
         # a finished run contributes no further activations
         assert result.mean_series[-1]["new_active"] <= max(
-            len(t.iterations[-1].newly_active) for t in result.traces
+            len(t.iterations[-1]) for t in result.traces
         )
 
     def test_run_that_activates_nobody_pads_with_seed_state(self, karate_path):
-        config = ExperimentConfig(karate_path, "ic", "2", ic_probability=0.05, runs=20)
+        config = ExperimentConfig(karate_path, "ic", "2", ModelParams(ic_probability=0.05), runs=20)
         report = run_experiment(config)
         result = report.results["ic"]
         assert any(not rows for rows in result.metrics)

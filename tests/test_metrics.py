@@ -25,13 +25,12 @@ from netdiffuse.metrics import METRICS_COLUMNS, evaluate_trace, metrics_cells
 from netdiffuse.models import (
     DiffusionTrace,
     ModelParams,
-    TraceIteration,
     run_cns,
     run_ic,
     run_si,
 )
 
-from conftest import complete_graph, random_graphs
+from conftest import complete_graph, cumulative_sets, random_graphs
 
 
 def horizon_distance_oracle(g, members):
@@ -156,22 +155,20 @@ class TestDistanceKernel:
             st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count)
         )
         rounds = [
-            tuple(g.label(v) for v in range(1, g.node_count) if joins[v] == k)
+            np.array([v for v in range(1, g.node_count) if joins[v] == k], dtype=np.int64)
             for k in (1, 2, 3)
         ]
-        iterations = tuple(
-            TraceIteration(index=i, newly_active=labels)
-            for i, labels in enumerate((r for r in rounds if r), start=1)
-        )
-        trace = DiffusionTrace("cns", g.label(0), {}, g.node_count, iterations)
+        iterations = tuple(r for r in rounds if len(r))
+        trace = DiffusionTrace(g, 0, iterations)
         rows = evaluate_trace(g, trace, include_initial=True)
         members = {0}
-        added = [()] + [it.newly_active for it in iterations]
+        added = [()] + [r.tolist() for r in iterations]
         assert rows[0].new_active == 0
-        for row, labels in zip(rows, added, strict=True):
-            assert row.new_active == len(labels)
+        for row, nodes in zip(rows, added, strict=True):
+            assert row.new_active == len(nodes)
+            assert type(row.new_active) is int
             assert dict(zip(METRICS_COLUMNS[5:], row.values()))["cum_active"] == row.horizon_nodes
-            members.update(g.index(label) for label in labels)
+            members.update(nodes)
             horizon = induced_subgraph(g, members)
             assert row.horizon_nodes == horizon.node_count
             assert row.horizon_edges == horizon.edge_count
@@ -222,6 +219,24 @@ class TestEvaluateTrace:
         with pytest.raises(UnknownNodeError):
             evaluate_trace(karate, trace)
 
+    def test_trace_of_another_graph_on_the_same_labels_rejected(self):
+        # Every label of h's run is also a label of g, so only the graph
+        # the trace records can tell that the run was not on g.
+        g = graph_from_text("a b\nb c\n")
+        h = graph_from_text("a b\nb c\nc a\n")
+        assert g.labels == h.labels
+        with pytest.raises(UnknownNodeError):
+            evaluate_trace(g, run_cns(h, "a"))
+
+    def test_trace_of_an_equal_graph_accepted(self):
+        g = graph_from_text("a b\nb c\n")
+        twin = graph_from_text("a b\nb c\n")
+        assert twin is not g
+        rows = evaluate_trace(g, run_cns(twin, "a"))
+        assert [r.values() for r in rows] == [
+            r.values() for r in evaluate_trace(g, run_cns(g, "a"))
+        ]
+
     @settings(max_examples=30, deadline=None)
     @given(random_graphs())
     def test_consistency_and_monotonicity(self, g):
@@ -241,7 +256,7 @@ class TestEvaluateTrace:
     @given(random_graphs(max_nodes=16))
     def test_distances_match_queue_bfs(self, g):
         trace = run_ic(g, g.label(0))
-        members = {g.index(l) for l in trace.cumulative_labels()}
+        members = cumulative_sets(trace)[-1]
         rows = evaluate_trace(g, trace)
         if not rows:
             return
@@ -258,13 +273,13 @@ class TestSummarizeSpeed:
     def test_karate(self, karate):
         trace = run_cns(karate, "2")
         assert trace.total_iterations == 3
-        assert trace.final_coverage == pytest.approx(33 / 34)
+        assert len(cumulative_sets(trace)[-1]) / karate.node_count == pytest.approx(33 / 34)
 
     def test_no_spread(self):
         g = graph_from_text("a b\nb c\nc d\nd a")
         trace = run_cns(g, "a")
         assert trace.total_iterations == 0
-        assert trace.final_coverage == 0.25
+        assert len(cumulative_sets(trace)[-1]) / g.node_count == 0.25
 
 
 class TestCsvCells:

@@ -1,6 +1,7 @@
 """Diffusion model behavior: the cascade rules, RNG discipline, traces."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,36 +14,42 @@ from netdiffuse.models import (
     run_cns,
     run_ic,
     run_si,
-    trace_from_json,
-    trace_to_json,
 )
 from netdiffuse.ties import build_tie_strength_table
 
-from conftest import complete_graph, cycle_graph, random_graphs, star_graph
-
-
-def indices(g, labels):
-    return {g.index(l) for l in labels}
+from conftest import (
+    complete_graph,
+    cumulative_sets,
+    cycle_graph,
+    random_graphs,
+    star_graph,
+    trace_key,
+)
 
 
 def check_monotone_and_closed(g, trace, same_round_ok=False):
     """Structural trace checks shared across models.
 
-    Cumulative sets must strictly grow, and every activation must touch
-    the active region: strictly earlier nodes normally, same-round
-    neighbors allowed for the strong-tie cascade (contributor targets
-    can share a round with the pair that pulled them in).
+    Each round is an ascending int64 index array, cumulative sets must
+    strictly grow, and every activation must touch the active region:
+    strictly earlier nodes normally, same-round neighbors allowed for the
+    strong-tie cascade (contributor targets can share a round with the
+    pair that pulled them in).
     """
-    seen = {g.index(trace.seed)}
-    for it in trace.iterations:
-        newly = indices(g, it.newly_active)
+    assert trace.graph is g
+    seen = {trace.seed}
+    counts = []
+    for nodes in trace.iterations:
+        assert nodes.dtype == np.int64
+        assert (np.diff(nodes) > 0).all(), "round not strictly ascending"
+        newly = set(nodes.tolist())
         assert newly, "recorded iteration with no activations"
         assert not (newly & seen)
         allowed = seen | newly if same_round_ok else seen
         for v in newly:
             assert any(u in allowed and u != v for u in g.neighbors_of(v))
         seen |= newly
-    counts = trace.cumulative_counts()
+        counts.append(len(seen))
     assert counts == sorted(set(counts)), "coverage not strictly increasing"
 
 
@@ -86,23 +93,24 @@ class TestRunCns:
     def test_karate_golden_counts(self, karate):
         trace = run_cns(karate, "2")
         assert trace.total_iterations == 3
-        assert trace.cumulative_counts() == [11, 27, 33]
-        assert set(karate.labels) - trace.cumulative_labels() == {"10"}
+        assert [len(s) for s in cumulative_sets(trace)[1:]] == [11, 27, 33]
+        assert set(range(karate.node_count)) - cumulative_sets(trace)[-1] == {karate.index("10")}
 
     def test_two_node_full_coverage(self):
         trace = run_cns(graph_from_text("a b"), "a")
         assert trace.total_iterations == 1
-        assert trace.final_coverage == 1.0
+        assert cumulative_sets(trace)[-1] == {0, 1}
 
     def test_k3_one_round(self):
         trace = run_cns(complete_graph(3), "0")
         assert trace.total_iterations == 1
-        assert trace.final_coverage == 1.0
+        assert cumulative_sets(trace)[-1] == {0, 1, 2}
 
     def test_no_strong_ties_means_no_spread(self):
         trace = run_cns(cycle_graph(4), "0")
         assert trace.total_iterations == 0
-        assert trace.final_coverage == 0.25
+        assert cumulative_sets(trace)[-1] == {0}
+        assert trace.graph.node_count == 4
         assert not trace.truncated
 
     def test_unknown_seed(self):
@@ -112,7 +120,7 @@ class TestRunCns:
     def test_deterministic(self, karate):
         a = run_cns(karate, "2")
         b = run_cns(karate, "2")
-        assert trace_to_json(a) == trace_to_json(b)
+        assert trace_key(a) == trace_key(b)
 
     def test_max_iterations_truncates(self, karate):
         trace = run_cns(karate, "2", max_iterations=1)
@@ -122,7 +130,7 @@ class TestRunCns:
     @pytest.mark.parametrize("run", [run_cns, run_ic])
     def test_cap_reached_with_every_node_active_is_not_truncation(self, run):
         trace = run(complete_graph(3), "0", max_iterations=1)
-        assert trace.final_coverage == 1.0
+        assert cumulative_sets(trace)[-1] == {0, 1, 2}
         assert not trace.truncated
 
     @settings(max_examples=40, deadline=None)
@@ -134,16 +142,16 @@ class TestRunCns:
         # contributor activation can jump past direct neighbors, but
         # never further than two hops per round
         dist = bfs_distances(g, 0)
-        for t in range(1, trace.total_iterations + 1):
-            for label in trace.cumulative_labels(t):
-                assert dist[g.index(label)] <= 2 * t
+        for t, active in enumerate(cumulative_sets(trace)):
+            for v in active:
+                assert dist[v] <= 2 * t
 
 
 class TestRunIc:
     def test_karate_golden_counts(self, karate):
         trace = run_ic(karate, "2")
         assert trace.total_iterations == 3
-        assert trace.cumulative_counts() == [10, 23, 34]
+        assert [len(s) for s in cumulative_sets(trace)[1:]] == [10, 23, 34]
 
     def test_zero_probability(self, karate):
         trace = run_ic(karate, "2", ModelParams(ic_probability=0.0))
@@ -152,7 +160,7 @@ class TestRunIc:
     def test_star_center_one_round(self):
         trace = run_ic(star_graph(3), "c")
         assert trace.total_iterations == 1
-        assert trace.final_coverage == 1.0
+        assert cumulative_sets(trace)[-1] == {0, 1, 2, 3}
 
     def test_unknown_seed(self):
         with pytest.raises(UnknownNodeError):
@@ -165,9 +173,10 @@ class TestRunIc:
         trace = run_ic(g, g.label(src))
         dist = bfs_distances(g, src)
         horizon = trace.total_iterations
+        sets = cumulative_sets(trace)
         for t in range(horizon + 1):
-            ball = {g.label(v) for v, d in dist.items() if d <= t}
-            assert trace.cumulative_labels(t) == ball
+            ball = {v for v, d in dist.items() if d <= t}
+            assert sets[t] == ball
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(), st.integers(min_value=0, max_value=3))
@@ -175,7 +184,7 @@ class TestRunIc:
         params = ModelParams(ic_probability=0.5, rng_seed=7)
         a = run_ic(g, g.label(0), params, run_index=run_index)
         b = run_ic(g, g.label(0), params, run_index=run_index)
-        assert trace_to_json(a) == trace_to_json(b)
+        assert trace_key(a) == trace_key(b)
         check_monotone_and_closed(g, a)
 
 
@@ -183,7 +192,7 @@ class TestRunSi:
     def test_beta1_matches_ic_p1(self, karate):
         si = run_si(karate, "2", ModelParams(si_beta=1.0))
         ic = run_ic(karate, "2")
-        assert si.iterations == ic.iterations
+        assert trace_key(si) == trace_key(ic)
         assert not si.truncated
 
     def test_beta0_truncates_at_cap(self):
@@ -191,12 +200,13 @@ class TestRunSi:
         trace = run_si(g, "a", ModelParams(si_beta=0.0))
         assert trace.iterations == ()
         assert trace.truncated
-        assert trace.final_coverage == pytest.approx(1 / 3)
+        assert cumulative_sets(trace)[-1] == {0}
+        assert trace.graph.node_count == 3
 
     def test_unreachable_remainder_flags_truncation(self):
         g = graph_from_text("a b\nc d")
         trace = run_si(g, "a", ModelParams(si_beta=1.0))
-        assert trace.cumulative_labels() == {"a", "b"}
+        assert cumulative_sets(trace)[-1] == {g.index("a"), g.index("b")}
         assert trace.truncated
 
     def test_explicit_cap_overrides_default(self, karate):
@@ -214,30 +224,12 @@ class TestRunSi:
         params = ModelParams(si_beta=0.5, rng_seed=11)
         a = run_si(g, g.label(0), params, run_index=run_index)
         b = run_si(g, g.label(0), params, run_index=run_index)
-        assert trace_to_json(a) == trace_to_json(b)
+        assert trace_key(a) == trace_key(b)
         check_monotone_and_closed(g, a)
 
     def test_different_run_indices_diverge_somewhere(self, karate):
         params = ModelParams(si_beta=0.5, rng_seed=42)
         traces = [run_si(karate, "2", params, run_index=k) for k in range(8)]
-        payloads = {trace_to_json(t) for t in traces}
+        payloads = {repr(trace_key(t)) for t in traces}
         assert len(payloads) > 1
 
-
-class TestTraceSerialization:
-    def test_roundtrip_karate(self, karate):
-        trace = run_cns(karate, "2")
-        assert trace_from_json(trace_to_json(trace)) == trace
-
-    @settings(max_examples=30, deadline=None)
-    @given(random_graphs())
-    def test_roundtrip_random(self, g):
-        trace = run_si(g, g.label(0), ModelParams(si_beta=0.7, rng_seed=3))
-        assert trace_from_json(trace_to_json(trace)) == trace
-
-    def test_payload_shape(self):
-        trace = run_cns(graph_from_text("a b"), "a")
-        text = trace_to_json(trace)
-        assert '"model": "cns"' in text
-        assert '"seed": "a"' in text
-        assert '"newly_active"' in text
