@@ -18,10 +18,7 @@ from .errors import (
 from .graph import (
     Graph,
     average_degree,
-    average_distance,
     bfs_distances,
-    density,
-    diameter,
     graph_from_edges,
     graph_from_text,
     induced_subgraph,
@@ -31,12 +28,9 @@ from .graph import (
     serialize_edge_list,
 )
 from .ties import (
-    CommonNeighborhoodBreakdown,
-    ContributorSet,
     TieStrengthTable,
     build_tie_strength_table,
     contributors,
-    tie_strength,
 )
 from .models import (
     DiffusionTrace,

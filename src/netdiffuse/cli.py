@@ -35,6 +35,16 @@ __all__ = ["main", "build_parser"]
 logger = logging.getLogger("netdiffuse.cli")
 
 
+# The model flags each model reads; `run` warns about any other one given.
+MODEL_FLAGS = {
+    "cns": (),
+    "ic": ("--ic-p", "--rng-seed"),
+    "si": ("--si-beta", "--rng-seed"),
+}
+# The ModelParams field, and parser dest, of each model flag.
+_PARAM_FIELDS = {"--ic-p": "ic_probability", "--si-beta": "si_beta", "--rng-seed": "rng_seed"}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; our contract reserves 2 for data
     # errors, so surface usage problems as ConfigError instead.
@@ -50,11 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--graph", required=True, help="edge-list file")
     run.add_argument("--model", required=True, choices=MODELS)
     run.add_argument("--seed-node", required=True, help="seed node label")
-    run.add_argument("--ic-p", type=float, default=1.0,
+    run.add_argument("--ic-p", dest="ic_probability", type=float,
                      help="cascade success probability (default 1.0)")
-    run.add_argument("--si-beta", type=float, default=0.5,
+    run.add_argument("--si-beta", dest="si_beta", type=float,
                      help="per-contact infection probability (default 0.5)")
-    run.add_argument("--rng-seed", type=int, default=42)
+    run.add_argument("--rng-seed", dest="rng_seed", type=int,
+                     help="random stream seed for ic and si (default 42)")
     run.add_argument("--runs", type=int, default=1,
                      help="repetitions; > 1 only for stochastic configs")
     run.add_argument("--max-iterations", type=int, default=None,
@@ -82,14 +93,22 @@ def _out_stream(target: str):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    given = {
+        flag: value
+        for flag, field in _PARAM_FIELDS.items()
+        if (value := getattr(args, field)) is not None
+    }
     config = ExperimentConfig(
         graph_path=args.graph,
         model=args.model,
         seed_node=args.seed_node,
-        params=ModelParams(args.ic_p, args.si_beta, args.rng_seed),
+        params=ModelParams(**{_PARAM_FIELDS[flag]: value for flag, value in given.items()}),
         runs=args.runs,
         max_iterations=args.max_iterations,
     )
+    ignored = [flag for flag in given if flag not in MODEL_FLAGS[config.model]]
+    if ignored:
+        logger.warning("model %s ignores %s", config.model, ", ".join(ignored))
     report = run_experiment(config)
     with _out_stream(args.out) as fh:
         write_report_csv(report, fh)

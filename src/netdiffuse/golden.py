@@ -13,15 +13,11 @@ deviations are structural and reported as such, never asserted against.
 """
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
-
 __all__ = [
     "FIG2_ITERATIONS",
     "SERIES",
     "TABLE1_AVG_DEGREE",
     "FIGURE_METRICS",
-    "GoldenEntry",
-    "iter_entries",
 ]
 
 # Total iterations to completion per dataset and model.
@@ -120,22 +116,3 @@ SERIES: dict[tuple[str, str, str], tuple[tuple[int, float], ...]] = {
     ("fig7", "polblogs", "ic"): ((1, 2.4), (2, 39.9613), (3, 29.1210), (4, 27.4576), (5, 27.3759), (6, 27.3551),),
     ("fig7", "polblogs", "si"): ((1, 2.5), (2, 14.8888), (3, 40.0437), (4, 30.1352), (5, 28.3696), (6, 27.8813), (7, 27.5854), (8, 27.4175), (9, 27.3759), (10, 27.3551),),
 }
-
-
-class GoldenEntry(NamedTuple):
-    figure: str
-    dataset: str
-    model: str  # "graph" for whole-graph table entries
-    iteration: int | None  # None for fig2 totals and table entries
-    value: float
-
-
-def iter_entries() -> Iterator[GoldenEntry]:
-    """Every reference value exactly once; the deviation report walks this."""
-    for (dataset, model), total in FIG2_ITERATIONS.items():
-        yield GoldenEntry("fig2", dataset, model, None, float(total))
-    for (figure, dataset, model), points in SERIES.items():
-        for iteration, value in points:
-            yield GoldenEntry(figure, dataset, model, iteration, float(value))
-    for dataset, value in TABLE1_AVG_DEGREE.items():
-        yield GoldenEntry("table1", dataset, "graph", None, value)

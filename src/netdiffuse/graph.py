@@ -34,12 +34,8 @@ __all__ = [
     "largest_connected_component",
     "induced_subgraph",
     "bfs_distances",
-    "adjacency_bits",
     "distance_summary",
     "all_pairs_distances",
-    "diameter",
-    "average_distance",
-    "density",
     "average_degree",
 ]
 
@@ -121,9 +117,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.adjacency.indices) // 2
 
-    def degree(self, v: int) -> int:
-        return int(self.adjacency.indptr[v + 1] - self.adjacency.indptr[v])
-
     def neighbors_of(self, v: int) -> tuple[int, ...]:
         return self._neighbor_rows[v]
 
@@ -169,7 +162,14 @@ class Graph:
         return tuple(map(frozenset, self._neighbor_rows))
 
     @cached_property
-    def _bits(self) -> np.ndarray:
+    def bits(self) -> np.ndarray:
+        """The adjacency rows packed 8 nodes a byte, built on first use.
+
+        An (n, 8 * ceil(n / 64)) uint8 array: in row v, bit u & 7 of byte
+        u >> 3 is set iff u is a neighbor of v, the order of
+        ``np.packbits(..., bitorder="little")``. Rows fill whole 64-bit
+        words, so ``.view(np.uint64)`` gives word-wise rows for popcounts.
+        """
         sources, targets = self.adjacency.sources(), self.adjacency.indices
         rows = np.zeros((self.node_count, 8 * -(-self.node_count // 64)), dtype=np.uint8)
         np.bitwise_or.at(rows, (sources, targets >> 3), (1 << (targets & 7)).astype(np.uint8))
@@ -322,17 +322,6 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     return Graph(tuple(g.labels[v] for v in keep), adjacency)
 
 
-def adjacency_bits(g: Graph) -> np.ndarray:
-    """The adjacency rows of ``g`` packed 8 nodes a byte, built once per graph.
-
-    An (n, 8 * ceil(n / 64)) uint8 array: in row v, bit u & 7 of byte
-    u >> 3 is set iff u is a neighbor of v, the order of
-    ``np.packbits(..., bitorder="little")``. Rows fill whole 64-bit words,
-    so ``.view(np.uint64)`` gives word-wise rows for popcounts.
-    """
-    return g._bits
-
-
 def _bfs_levels(adjacency: Adjacency) -> Iterator[tuple[int, np.ndarray]]:
     """Level-synchronous breadth-first search from every node at once.
 
@@ -401,37 +390,6 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
         bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
         out[bits.view(bool)] = level
     return out
-
-
-def diameter(g: Graph) -> int:
-    """Longest shortest path over connected pairs; 0 for a single node.
-
-    Disconnected inputs take the maximum within components (unreachable
-    pairs are excluded).
-    """
-    if g.node_count == 0:
-        raise UnknownNodeError("diameter of an empty graph is undefined")
-    return distance_summary(g.adjacency)[0]
-
-
-def average_distance(g: Graph) -> float:
-    """Mean shortest-path distance over unordered connected pairs.
-
-    Disconnected pairs are excluded from both numerator and denominator;
-    returns 0.0 if no connected pair exists.
-    """
-    if g.node_count < 2:
-        raise UnknownNodeError("average distance needs at least 2 nodes")
-    _, total, pairs = distance_summary(g.adjacency)
-    return total / pairs if pairs else 0.0
-
-
-def density(g: Graph) -> float:
-    """2m / (n(n-1))."""
-    n = g.node_count
-    if n < 2:
-        raise UnknownNodeError("density needs at least 2 nodes")
-    return 2.0 * g.edge_count / (n * (n - 1))
 
 
 def average_degree(g: Graph) -> float:

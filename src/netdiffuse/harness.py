@@ -29,9 +29,7 @@ from .errors import (
 from .graph import (
     Graph, average_degree, decode_utf8, largest_connected_component, load_edge_list_path
 )
-from .metrics import (
-    METRICS_COLUMNS, IterationMetrics, evaluate_trace, format_cell, metrics_cells
-)
+from .metrics import METRICS_COLUMNS, IterationMetrics, evaluate_trace, format_cell
 from .models import DiffusionTrace, ModelParams, run_cns, run_ic, run_si
 
 __all__ = [
@@ -104,7 +102,6 @@ class ExperimentConfig:
 class ModelResult:
     """All runs of one model plus the aggregate series when runs > 1."""
 
-    model: str
     traces: list[DiffusionTrace]
     metrics: list[list[IterationMetrics]]
     mean_series: list[dict[str, float]] | None = None
@@ -115,7 +112,6 @@ class ModelResult:
 class ComparisonReport:
     dataset: str
     seed_node: str
-    graph: Graph
     results: dict[str, ModelResult]
 
 
@@ -182,7 +178,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         for r in range(config.runs)
     ]
     metrics = [evaluate_trace(g, t) for t in traces]
-    result = ModelResult(config.model, traces, metrics)
+    result = ModelResult(traces, metrics)
     if config.runs > 1:
         # A run that activated nobody ends in its seed-only state.
         finals = [
@@ -193,7 +189,6 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     return ComparisonReport(
         dataset=config.dataset,
         seed_node=config.seed_node,
-        graph=g,
         results={config.model: result},
     )
 
@@ -202,14 +197,19 @@ def write_report_csv(report: ComparisonReport, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(METRICS_COLUMNS)
     for name, result in report.results.items():
-        for run_number, rows in enumerate(result.metrics, start=1):
-            writer.writerows(
-                metrics_cells(report.dataset, name, run_number, report.seed_node, row)
-                for row in rows
-            )
-        for t, mean in enumerate(result.mean_series or (), start=1):
-            cells = (format_cell(mean[field]) for field in _MEAN_FIELDS)
-            writer.writerow([report.dataset, name, "mean", report.seed_node, t, *cells])
+        runs = [
+            (run, row.iteration, row.values())
+            for run, rows in enumerate(result.metrics, start=1)
+            for row in rows
+        ]
+        means = [
+            ("mean", t, [mean[field] for field in _MEAN_FIELDS])
+            for t, mean in enumerate(result.mean_series or (), start=1)
+        ]
+        writer.writerows(
+            [report.dataset, name, run, report.seed_node, t, *map(format_cell, values)]
+            for run, t, values in runs + means
+        )
 
 
 def parse_seeds_file(path: Path | str) -> dict[str, str]:
@@ -339,36 +339,32 @@ def _deviation_report(
         "deviations reflect that substitution and the unknown seed nodes)",
         "",
     ]
-    for entry in golden.iter_entries():
-        if entry.figure == "fig2":
-            count = len(produced[(entry.dataset, entry.model)])
-            lines.append(
-                f"fig2 {entry.dataset} {entry.model} total iterations: "
-                f"produced {count} reference {int(entry.value)} "
-                f"deviation {abs(count - int(entry.value))}"
-            )
-        elif entry.figure == "table1":
-            got = avg_degrees[entry.dataset]
-            lines.append(
-                f"table1 {entry.dataset} average degree: "
-                f"produced {got:.6f} reference {entry.value:.6f} "
-                f"deviation {abs(got - entry.value):.6f}"
-            )
-        else:
-            rows = produced[(entry.dataset, entry.model)]
-            head = (
-                f"{entry.figure} {entry.dataset} {entry.model} "
-                f"iteration {entry.iteration}:"
-            )
-            if entry.iteration is None or entry.iteration > len(rows):
+    for (dataset, model), total in golden.FIG2_ITERATIONS.items():
+        count = len(produced[(dataset, model)])
+        lines.append(
+            f"fig2 {dataset} {model} total iterations: "
+            f"produced {count} reference {total} deviation {abs(count - total)}"
+        )
+    for (figure, dataset, model), points in golden.SERIES.items():
+        rows = produced[(dataset, model)]
+        for iteration, value in points:
+            head = f"{figure} {dataset} {model} iteration {iteration}:"
+            if iteration > len(rows):
                 lines.append(
                     f"{head} produced absent (series ended at {len(rows)}) "
-                    f"reference {entry.value:.6f}"
+                    f"reference {value:.6f}"
                 )
             else:
-                got = _figure_value(entry.figure, rows[entry.iteration - 1])
+                got = _figure_value(figure, rows[iteration - 1])
                 lines.append(
-                    f"{head} produced {got:.6f} reference {entry.value:.6f} "
-                    f"deviation {abs(got - entry.value):.6f}"
+                    f"{head} produced {got:.6f} reference {value:.6f} "
+                    f"deviation {abs(got - value):.6f}"
                 )
+    for dataset, value in golden.TABLE1_AVG_DEGREE.items():
+        got = avg_degrees[dataset]
+        lines.append(
+            f"table1 {dataset} average degree: "
+            f"produced {got:.6f} reference {value:.6f} "
+            f"deviation {abs(got - value):.6f}"
+        )
     return "\n".join(lines) + "\n"

@@ -30,7 +30,6 @@ __all__ = [
     "METRICS_COLUMNS",
     "evaluate_trace",
     "format_cell",
-    "metrics_cells",
 ]
 
 METRICS_COLUMNS = (
@@ -117,11 +116,3 @@ def evaluate_trace(
 def format_cell(value: int | float) -> str:
     """One metric cell: integers bare, floats to six decimals."""
     return str(value) if isinstance(value, int) else f"{value:.6f}"
-
-
-def metrics_cells(
-    dataset: str, model: str, run: int | str, seed_node: str, row: IterationMetrics
-) -> list[str]:
-    """One CSV row in ``METRICS_COLUMNS`` order."""
-    cells = map(format_cell, row.values())
-    return [dataset, model, str(run), seed_node, str(row.iteration), *cells]

@@ -7,11 +7,9 @@ is never recorded as a row. Rounds that activate nothing are not
 recorded, which keeps cumulative coverage strictly increasing.
 
 The strong-tie cascade depends on the active set only through the final
-subtraction, so each node's targets are fixed: row v of the tie table's
-reach matrix. Its contributor route keeps only contributors adjacent to
-v or u, and those all lie in N(v) & N(w) or N(u) & N(w) for a common
-neighbor w; the overlap of connected common-neighbor pairs adds none of
-them. A round is then one OR over the reach rows of the last round's
+subtraction, so each node's targets are fixed: row v of
+``TieStrengthTable.reach``, whose rule the ``ties`` module states. A
+round is then one OR over the reach rows of the last round's
 activations.
 
 Stochastic draws are ordered: actors by ascending internal index, then
@@ -78,21 +76,12 @@ class DiffusionTrace:
     iterations: tuple[np.ndarray, ...]
     truncated: bool = False
 
-    @property
-    def total_iterations(self) -> int:
-        return len(self.iterations)
-
 
 def cns_activate(
     g: Graph, table: TieStrengthTable, v: int, active: frozenset[int] | set[int]
 ) -> set[int]:
-    """Targets one active node reaches in a single round, minus the active set.
-
-    Three routes combine: the node's own strongest ties; for each
-    strongest-tie pair, the pair's contributors that either endpoint is
-    adjacent to; and neighbors whose own strongest tie points back at
-    the node. Their union is row v of ``table.reach``.
-    """
+    """Targets one active node reaches in a single round: row v of
+    ``TieStrengthTable.reach`` minus the active set."""
     if v not in active:
         raise InactiveNodeError(f"node {g.label(v)!r} is not active")
     return set(np.flatnonzero(table.reach[v]).tolist()) - set(active)

@@ -64,15 +64,12 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .errors import NotAnEdgeError
-from .graph import Graph, adjacency_bits
+from .graph import Graph
 
 __all__ = [
-    "CommonNeighborhoodBreakdown",
-    "ContributorSet",
     "TieStrengthTable",
     "contributors",
     "build_tie_strength_table",
-    "tie_strength",
     "dump_tie_table",
 ]
 
@@ -93,34 +90,7 @@ _EDGE_SLICE = 1024  # edges per popcount slice of the common-neighbor counts
 _BLOCK_CELLS = 1 << 15  # block cells per chunk of the term kernel
 
 
-@dataclass(frozen=True)
-class CommonNeighborhoodBreakdown:
-    """Per-term decomposition of the neighborhood score for one ordered pair.
-
-    When ``term_cn`` is zero the pair is degenerate: all term fields are
-    zero and ``rho`` alone holds the 0-or-1 value.
-    """
-
-    v: int
-    u: int
-    term_cn: int
-    term_v_side: int
-    term_u_side: int
-    term_sigma: int
-    term_ww: int
-    rho: int
-
-
-@dataclass(frozen=True)
-class ContributorSet:
-    """Nodes whose membership in any score term counted for a pair."""
-
-    v: int
-    u: int
-    members: frozenset[int]
-
-
-def contributors(g: Graph, v: int, u: int) -> ContributorSet:
+def contributors(g: Graph, v: int, u: int) -> frozenset[int]:
     """Every node that appears in some score term of (v, u), minus v and u.
 
     Empty for degenerate pairs: those score without any third party.
@@ -142,7 +112,7 @@ def contributors(g: Graph, v: int, u: int) -> ContributorSet:
                     members.update(nw & g.neighbor_set(z))
         members.discard(v)
         members.discard(u)
-    return ContributorSet(v, u, frozenset(members))
+    return frozenset(members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,12 +132,6 @@ class TieStrengthTable:
     strong: np.ndarray
 
     @cached_property
-    def strong_ties(self) -> frozenset[tuple[int, int]]:
-        """The strong ties as ordered (v, u) index pairs."""
-        sources, targets = self.graph.adjacency.sources(), self.graph.adjacency.indices
-        return frozenset(zip(sources[self.strong].tolist(), targets[self.strong].tolist()))
-
-    @cached_property
     def reach(self) -> np.ndarray:
         """n-by-n bool matrix; row v is what an active v activates.
 
@@ -176,7 +140,7 @@ class TieStrengthTable:
         """
         n = self.graph.node_count
         sources, targets = self.graph.adjacency.sources(), self.graph.adjacency.indices
-        rows = adjacency_bits(self.graph)
+        rows = self.graph.bits
         source, target = sources[self.strong], targets[self.strong]
         common = rows[source] & rows[target]
         # The common neighbors w of each strong tie, tie by tie.
@@ -199,8 +163,9 @@ class TieStrengthTable:
         np.fill_diagonal(reach, False)
         return reach
 
-    def _position(self, v: int, u: int) -> int:
-        """Index of the ordered edge (v, u) in the edge arrays."""
+    def edge(self, v: int, u: int) -> int:
+        """Index of the ordered edge (v, u) in the edge arrays; raises
+        NotAnEdgeError if (v, u) is not an edge."""
         indptr, indices = self.graph.adjacency
         if self.graph.has_node(v) and self.graph.has_node(u):
             start, stop = indptr[v], indptr[v + 1]
@@ -209,15 +174,8 @@ class TieStrengthTable:
                 return k
         raise NotAnEdgeError(f"({v}, {u}) is not an edge of the graph")
 
-    def breakdown(self, v: int, u: int) -> CommonNeighborhoodBreakdown:
-        terms = self.terms[self._position(v, u)].tolist()
-        return CommonNeighborhoodBreakdown(v, u, *terms)
-
-    def rho(self, v: int, u: int) -> int:
-        return int(self.terms[self._position(v, u), _RHO])
-
     def contributor_members(self, v: int, u: int) -> frozenset[int]:
-        return contributors(self.graph, v, u).members
+        return contributors(self.graph, v, u)
 
 
 def _degree_chunks(degree: np.ndarray) -> Iterator[np.ndarray]:
@@ -247,7 +205,7 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
     indptr, indices = g.adjacency
     sources = g.adjacency.sources()
     n = g.node_count
-    words = adjacency_bits(g).view(np.uint64)
+    words = g.bits.view(np.uint64)
     cn = np.empty(len(indices), dtype=np.int64)
     for lo in range(0, len(indices), _EDGE_SLICE):
         edges = slice(lo, lo + _EDGE_SLICE)
@@ -299,11 +257,6 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
         row_max=row_max,
         strong=(rho == source_max) & (rho > 0),
     )
-
-
-def tie_strength(table: TieStrengthTable, v: int, u: int) -> float:
-    """Normalized score of the ordered edge (v, u); 0.0 when its score is 0."""
-    return float(table.phi[table._position(v, u)])
 
 
 def _csv_fields(labels: Sequence[str]) -> list[str]:

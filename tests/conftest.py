@@ -71,6 +71,12 @@ def trace_key(trace) -> tuple:
     return trace.seed, [nodes.tolist() for nodes in trace.iterations], trace.truncated
 
 
+def strong_pairs(table) -> set[tuple[int, int]]:
+    """The strong ties of a tie table as ordered (v, u) index pairs."""
+    sources, targets = table.graph.adjacency.sources(), table.graph.adjacency.indices
+    return set(zip(sources[table.strong].tolist(), targets[table.strong].tolist()))
+
+
 @pytest.fixture(scope="session")
 def karate() -> Graph:
     return load_edge_list_path(DATA_DIR / "karate.txt")

@@ -21,7 +21,7 @@ from netdiffuse.ties import build_tie_strength_table
 
 from conftest import cumulative_sets, er_graph, trace_key
 from test_models import check_monotone_and_closed
-from test_ties import as_tuple, oracle_breakdown
+from test_ties import edge_terms, oracle_breakdown
 
 SEEDS = {"karate": "2", "lesmis": "Myriel", "jazz": "68", "polblogs": "693"}
 
@@ -62,7 +62,7 @@ def test_criterion_1_rho_oracle_equivalence():
         g = er_graph(4 + (i % 47), (0.1, 0.3, 0.6)[i % 3], rng)
         table = build_tie_strength_table(g)
         for v, u in g.edges():
-            assert as_tuple(table.breakdown(v, u)) == oracle_breakdown(g, v, u)
+            assert edge_terms(table, v, u) == oracle_breakdown(g, v, u)
             checked += 1
     elapsed = time.perf_counter() - start
     _verdict(
@@ -86,7 +86,7 @@ def test_criterion_2_ic_p1_is_bfs(graphs):
         trace = run_ic(g, seed)
         dist = bfs_distances(g, g.index(seed))
         sets = cumulative_sets(trace)
-        for t in range(trace.total_iterations + 1):
+        for t in range(len(trace.iterations) + 1):
             ball = {v for v, d in dist.items() if d <= t}
             assert sets[t] == ball
     elapsed = time.perf_counter() - start
@@ -101,13 +101,13 @@ def test_criterion_3_karate_ic_coverage(graphs):
     trace = run_ic(graphs["karate"], "2")
     coverage = [len(s) / graphs["karate"].node_count for s in cumulative_sets(trace)[1:]]
     expected = (0.2941, 0.6764, 1.0000)
-    ok = trace.total_iterations == 3 and all(
+    ok = len(trace.iterations) == 3 and all(
         abs(c - e) <= 0.0001 for c, e in zip(coverage, expected)
     )
     _verdict(
         "criterion 3: karate IC coverage (0.2941, 0.6764, 1.0000)",
         ok,
-        f"got {[round(c, 4) for c in coverage]} in {trace.total_iterations} iterations",
+        f"got {[round(c, 4) for c in coverage]} in {len(trace.iterations)} iterations",
     )
 
 
@@ -116,7 +116,7 @@ def test_criterion_4_karate_cns_two_tier(graphs, repro):
     rows = evaluate_trace(graphs["karate"], trace)
     final_nodes = len(cumulative_sets(trace)[-1])
 
-    tier1 = abs(trace.total_iterations - 3) <= 1 and abs(final_nodes - 33) <= 2
+    tier1 = abs(len(trace.iterations) - 3) <= 1 and abs(final_nodes - 33) <= 2
     out_dir, _, _ = repro
     deviations = (out_dir / "deviations.txt").read_text()
     enumerated = all(
@@ -125,7 +125,7 @@ def test_criterion_4_karate_cns_two_tier(graphs, repro):
 
     coverage = [r.coverage for r in rows]
     tier2 = (
-        trace.total_iterations == 3
+        len(trace.iterations) == 3
         and all(abs(c - e) <= 0.0001 for c, e in zip(coverage, (0.3235, 0.7941, 0.9705)))
         and [r.diameter for r in rows] == [2, 4, 5]
         and all(
@@ -187,7 +187,7 @@ def test_criterion_6_si_distribution(graphs):
         trace = run_si(g, "2", params, run_index=k)
         check_monotone_and_closed(g, trace)
         assert not trace.truncated and len(cumulative_sets(trace)[-1]) == g.node_count
-        totals.append(trace.total_iterations)
+        totals.append(len(trace.iterations))
     elapsed = time.perf_counter() - start
 
     ic = run_ic(g, "2")

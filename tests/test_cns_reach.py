@@ -20,7 +20,9 @@ from netdiffuse.harness import DATASET_NAMES
 from netdiffuse.models import cns_activate, run_cns
 from netdiffuse.ties import build_tie_strength_table, contributors
 
-from conftest import DATA_DIR, complete_graph, er_edges, random_graphs, star_graph
+from conftest import (
+    DATA_DIR, complete_graph, er_edges, random_graphs, star_graph, strong_pairs
+)
 
 
 class SetCascade:
@@ -28,7 +30,7 @@ class SetCascade:
 
     def __init__(self, g, table):
         self.g = g
-        self.table = table
+        self.strong = strong_pairs(table)
         self._pulled = {}
 
     def pulled(self, v, u):
@@ -36,13 +38,13 @@ class SetCascade:
         if (v, u) not in self._pulled:
             nv = self.g.neighbor_set(v)
             nu = self.g.neighbor_set(u)
-            members = contributors(self.g, v, u).members
+            members = contributors(self.g, v, u)
             self._pulled[(v, u)] = {u} | {z for z in members if z in nv or z in nu}
         return self._pulled[(v, u)]
 
     def activate(self, v, active):
         """What ``v`` activates in one round, minus the active set."""
-        strong = self.table.strong_ties
+        strong = self.strong
         targets = set()
         for u in self.g.neighbors_of(v):
             if (v, u) in strong:
@@ -213,7 +215,7 @@ class TestRestrictionIdentity:
         for a, b in g.edges():
             for v, u in ((a, b), (b, a)):
                 nvu = g.neighbor_set(v) | g.neighbor_set(u)
-                filtered = contributors(g, v, u).members & nvu
+                filtered = contributors(g, v, u) & nvu
                 assert filtered == self.restricted(g, v, u)
 
     def test_pair_overlap_member_outside_both_neighborhoods(self):
@@ -224,5 +226,5 @@ class TestRestrictionIdentity:
              ("2", "3"), ("2", "x"), ("3", "x")]
         )
         x = g.index("x")
-        assert x in contributors(g, 0, 1).members
+        assert x in contributors(g, 0, 1)
         assert self.restricted(g, 0, 1) == {2, 3}

@@ -24,14 +24,10 @@ from netdiffuse.errors import (
 )
 from netdiffuse.graph import (
     Graph,
-    adjacency_bits,
     all_pairs_distances,
     average_degree,
-    average_distance,
     bfs_distances,
     connected_components,
-    density,
-    diameter,
     distance_summary,
     graph_from_edges,
     graph_from_text,
@@ -41,6 +37,8 @@ from netdiffuse.graph import (
     load_edge_list_path,
     serialize_edge_list,
 )
+from netdiffuse.metrics import evaluate_trace
+from netdiffuse.models import ModelParams, run_ic
 
 from conftest import complete_graph, cycle_graph, er_graph, path_graph, random_graphs
 
@@ -403,9 +401,9 @@ class TestAdjacencyBits:
         dense = np.zeros((n, 64 * -(-n // 64)), dtype=bool)
         for v in range(n):
             dense[v, list(g.neighbors_of(v))] = True
-        bits = adjacency_bits(g)
+        bits = g.bits
         assert np.array_equal(bits, np.packbits(dense, axis=1, bitorder="little"))
-        assert adjacency_bits(g) is bits
+        assert g.bits is bits
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
     def test_word_boundaries(self, n):
@@ -437,50 +435,52 @@ def test_imports_load_no_scipy():
 
 
 class TestWholeGraphMetrics:
+    """``distance_summary`` is (diameter, distance sum, pair count) over
+    unordered connected pairs."""
+
     def test_path_graph(self):
         g = path_graph(4)
-        assert diameter(g) == 3
-        assert average_distance(g) == pytest.approx(10 / 6)
+        assert distance_summary(g.adjacency) == (3, 10, 6)
 
     def test_complete_graph(self):
         g = complete_graph(5)
-        assert diameter(g) == 1
-        assert average_distance(g) == 1.0
-        assert density(g) == 1.0
+        # all 10 pairs adjacent: diameter 1, density 1
+        assert distance_summary(g.adjacency) == (1, 10, 10)
         assert average_degree(g) == 4.0
 
     def test_cycle(self):
         g = cycle_graph(6)
-        assert diameter(g) == 3
-        assert density(g) == pytest.approx(2 * 6 / (6 * 5))
+        # each node sees 1, 1, 2, 2, 3
+        assert distance_summary(g.adjacency) == (3, 27, 15)
 
     def test_disconnected_pairs_excluded(self):
         # two triangles: every connected pair is at distance 1
         g = graph_from_text("a b\nb c\nc a\nd e\ne f\nf d")
-        assert diameter(g) == 1
-        assert average_distance(g) == 1.0
+        assert distance_summary(g.adjacency) == (1, 6, 6)
 
     def test_karate_table_values(self, karate):
         assert average_degree(karate) == pytest.approx(4.59, abs=0.01)
-        assert density(karate) == pytest.approx(0.1390, abs=0.0001)
+        # An ic run at p = 1 ends on the whole (connected) graph.
+        whole = evaluate_trace(karate, run_ic(karate, "1", ModelParams(1.0)))[-1]
+        assert whole.coverage == 1.0
+        assert whole.density == pytest.approx(0.1390, abs=0.0001)
 
     @settings(max_examples=50, deadline=None)
     @given(random_graphs())
     def test_degree_density_relation(self, g):
-        # avg degree = density * (n - 1): the same identity the horizon
-        # metrics are later held to
+        # avg degree = density * (n - 1), density counted pair by pair:
+        # the same identity the horizon metrics are later held to
         n = g.node_count
-        if n >= 2:
-            assert average_degree(g) == pytest.approx(density(g) * (n - 1))
+        adjacent = sum(g.has_edge(v, u) for v in range(n) for u in range(n) if v != u)
+        assert average_degree(g) == pytest.approx(adjacent / (n * (n - 1)) * (n - 1))
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(max_nodes=12))
     def test_diameter_is_max_finite_distance(self, g):
-        want = 0
-        for v in range(g.node_count):
-            d = bfs_oracle(g, v)
-            want = max(want, max(d.values()))
-        assert diameter(g) == want
+        finite = [
+            d for v in range(g.node_count) for u, d in bfs_oracle(g, v).items() if u > v
+        ]
+        assert distance_summary(g.adjacency) == (max(finite), sum(finite), len(finite))
 
 
 def test_er_generator_is_deterministic():

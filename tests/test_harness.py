@@ -139,7 +139,7 @@ class TestConfigValidation:
 class TestRunExperiment:
     def test_karate_cns_speed(self, karate_path):
         report = run_experiment(ExperimentConfig(karate_path, "cns", "2"))
-        assert report.results["cns"].traces[0].total_iterations == 3
+        assert len(report.results["cns"].traces[0].iterations) == 3
 
     def test_seed_lost_to_reduction_names_it(self, tmp_path):
         path = write_graph(tmp_path / "two.txt", "a b\nb c\nx y\n")
@@ -178,7 +178,8 @@ class TestRunExperiment:
         report = run_experiment(config)
         result = report.results["ic"]
         assert any(not rows for rows in result.metrics)
-        seed_row = evaluate_trace(report.graph, result.traces[0], include_initial=True)[0]
+        g = result.traces[0].graph
+        seed_row = evaluate_trace(g, result.traces[0], include_initial=True)[0]
         finals = [rows[-1] if rows else seed_row for rows in result.metrics]
         assert result.mean_series[-1]["cum_active"] == pytest.approx(
             sum(row.horizon_nodes for row in finals) / len(finals)
@@ -428,6 +429,34 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "model, flags, ignored",
+        [
+            ("cns", ["--si-beta", "0.1", "--ic-p", "0.2", "--rng-seed", "7"],
+             "--ic-p, --si-beta, --rng-seed"),
+            ("ic", ["--si-beta", "0.1", "--rng-seed", "7"], "--si-beta"),
+        ],
+    )
+    def test_flags_the_model_does_not_read_warn(
+        self, karate_path, tmp_path, capsys, model, flags, ignored
+    ):
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        base = ["run", "--graph", karate_path, "--model", model, "--seed-node", "2"]
+        assert main([*base, "--rng-seed", "7", "--out", str(plain)]) == 0
+        capsys.readouterr()
+        assert main([*base, *flags, "--out", str(flagged)]) == 0
+        assert capsys.readouterr().err == f"netdiffuse: warning: model {model} ignores {ignored}\n"
+        # the ignored flags change no byte of the output
+        assert flagged.read_bytes() == plain.read_bytes()
+
+    def test_flags_the_model_reads_warn_about_nothing(self, karate_path, capsys):
+        code = main(
+            ["run", "--graph", karate_path, "--model", "si", "--si-beta", "0.3",
+             "--rng-seed", "7", "--seed-node", "2", "--out", "-"]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_tie_table(self, karate_path, tmp_path):
         out = tmp_path / "ties.csv"
         code = main(["tie-table", "--graph", karate_path, "--out", str(out)])
@@ -480,16 +509,17 @@ class TestReproduceOutputs:
         from netdiffuse import golden
 
         text = (out_dir / "deviations.txt").read_text()
-        for entry in golden.iter_entries():
-            if entry.figure == "fig2":
-                needle = f"fig2 {entry.dataset} {entry.model} total iterations:"
-            elif entry.figure == "table1":
-                needle = f"table1 {entry.dataset} average degree:"
-            else:
-                needle = (
-                    f"{entry.figure} {entry.dataset} {entry.model} "
-                    f"iteration {entry.iteration}:"
-                )
+        needles = [
+            f"fig2 {dataset} {model} total iterations:"
+            for dataset, model in golden.FIG2_ITERATIONS
+        ]
+        needles += [
+            f"{figure} {dataset} {model} iteration {iteration}:"
+            for (figure, dataset, model), points in golden.SERIES.items()
+            for iteration, _ in points
+        ]
+        needles += [f"table1 {dataset} average degree:" for dataset in golden.TABLE1_AVG_DEGREE]
+        for needle in needles:
             assert needle in text, f"deviation report missing {needle}"
 
     def test_fig2_covers_all_dataset_model_pairs(self, out_dir):

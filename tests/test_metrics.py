@@ -1,6 +1,7 @@
 """Per-iteration horizon metrics and their internal consistency."""
 from __future__ import annotations
 
+import io
 import random
 from collections import deque
 
@@ -13,15 +14,13 @@ from netdiffuse.errors import UnknownNodeError
 from netdiffuse.graph import (
     all_pairs_distances,
     average_degree,
-    average_distance,
-    density,
-    diameter,
     distance_summary,
     graph_from_edges,
     graph_from_text,
     induced_subgraph,
 )
-from netdiffuse.metrics import METRICS_COLUMNS, evaluate_trace, metrics_cells
+from netdiffuse.harness import ExperimentConfig, run_experiment, write_report_csv
+from netdiffuse.metrics import METRICS_COLUMNS, evaluate_trace
 from netdiffuse.models import (
     DiffusionTrace,
     ModelParams,
@@ -118,15 +117,6 @@ def assert_distances_match_oracles(g):
     assert np.array_equal(all_pairs_distances(g), want)
     summary = (max(finite, default=0), sum(finite), len(finite))
     assert distance_summary(g.adjacency) == summary
-    assert diameter(g) == summary[0]
-    if g.node_count < 2:
-        with pytest.raises(UnknownNodeError):
-            average_distance(g)
-    elif finite:
-        # the exact integer ratio is the float mean over the pairs
-        assert average_distance(g) == float(np.mean(np.array(finite, dtype=float)))
-    else:
-        assert average_distance(g) == 0.0
 
 
 class TestDistanceKernel:
@@ -172,11 +162,13 @@ class TestDistanceKernel:
             horizon = induced_subgraph(g, members)
             assert row.horizon_nodes == horizon.node_count
             assert row.horizon_edges == horizon.edge_count
-            if horizon.node_count > 1:
-                assert row.density == density(horizon)
+            n = horizon.node_count
+            if n > 1:
+                diameter, total, pairs = distance_summary(horizon.adjacency)
+                assert row.density == 2.0 * horizon.edge_count / (n * (n - 1))
                 assert row.avg_degree == average_degree(horizon)
-                assert row.diameter == diameter(horizon)
-                assert row.avg_distance == average_distance(horizon)
+                assert row.diameter == diameter
+                assert row.avg_distance == (total / pairs if pairs else 0.0)
 
 
 class TestEvaluateTrace:
@@ -272,13 +264,13 @@ class TestSummarizeSpeed:
 
     def test_karate(self, karate):
         trace = run_cns(karate, "2")
-        assert trace.total_iterations == 3
+        assert len(trace.iterations) == 3
         assert len(cumulative_sets(trace)[-1]) / karate.node_count == pytest.approx(33 / 34)
 
     def test_no_spread(self):
         g = graph_from_text("a b\nb c\nc d\nd a")
         trace = run_cns(g, "a")
-        assert trace.total_iterations == 0
+        assert len(trace.iterations) == 0
         assert len(cumulative_sets(trace)[-1]) / g.node_count == 0.25
 
 
@@ -299,9 +291,11 @@ class TestCsvCells:
             "avg_degree",
         )
 
-    def test_formatting(self, karate):
-        rows = evaluate_trace(karate, run_cns(karate, "2"))
-        cells = metrics_cells("karate", "cns", 1, "2", rows[0])
+    def test_formatting(self, data_dir):
+        report = run_experiment(ExperimentConfig(data_dir / "karate.txt", "cns", "2"))
+        out = io.StringIO()
+        write_report_csv(report, out)
+        cells = out.getvalue().splitlines()[1].split(",")
         assert cells == [
             "karate",
             "cns",

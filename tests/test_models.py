@@ -23,6 +23,7 @@ from conftest import (
     cycle_graph,
     random_graphs,
     star_graph,
+    strong_pairs,
     trace_key,
 )
 
@@ -84,31 +85,31 @@ class TestCnsActivate:
         table = build_tie_strength_table(g)
         h = g.index("h")
         leaf = g.index("leaf")
-        assert (h, leaf) not in table.strong_ties
-        assert (leaf, h) in table.strong_ties
+        assert (h, leaf) not in strong_pairs(table)
+        assert (leaf, h) in strong_pairs(table)
         assert leaf in cns_activate(g, table, h, {h})
 
 
 class TestRunCns:
     def test_karate_golden_counts(self, karate):
         trace = run_cns(karate, "2")
-        assert trace.total_iterations == 3
+        assert len(trace.iterations) == 3
         assert [len(s) for s in cumulative_sets(trace)[1:]] == [11, 27, 33]
         assert set(range(karate.node_count)) - cumulative_sets(trace)[-1] == {karate.index("10")}
 
     def test_two_node_full_coverage(self):
         trace = run_cns(graph_from_text("a b"), "a")
-        assert trace.total_iterations == 1
+        assert len(trace.iterations) == 1
         assert cumulative_sets(trace)[-1] == {0, 1}
 
     def test_k3_one_round(self):
         trace = run_cns(complete_graph(3), "0")
-        assert trace.total_iterations == 1
+        assert len(trace.iterations) == 1
         assert cumulative_sets(trace)[-1] == {0, 1, 2}
 
     def test_no_strong_ties_means_no_spread(self):
         trace = run_cns(cycle_graph(4), "0")
-        assert trace.total_iterations == 0
+        assert len(trace.iterations) == 0
         assert cumulative_sets(trace)[-1] == {0}
         assert trace.graph.node_count == 4
         assert not trace.truncated
@@ -124,7 +125,7 @@ class TestRunCns:
 
     def test_max_iterations_truncates(self, karate):
         trace = run_cns(karate, "2", max_iterations=1)
-        assert trace.total_iterations == 1
+        assert len(trace.iterations) == 1
         assert trace.truncated
 
     @pytest.mark.parametrize("run", [run_cns, run_ic])
@@ -150,16 +151,16 @@ class TestRunCns:
 class TestRunIc:
     def test_karate_golden_counts(self, karate):
         trace = run_ic(karate, "2")
-        assert trace.total_iterations == 3
+        assert len(trace.iterations) == 3
         assert [len(s) for s in cumulative_sets(trace)[1:]] == [10, 23, 34]
 
     def test_zero_probability(self, karate):
         trace = run_ic(karate, "2", ModelParams(ic_probability=0.0))
-        assert trace.total_iterations == 0
+        assert len(trace.iterations) == 0
 
     def test_star_center_one_round(self):
         trace = run_ic(star_graph(3), "c")
-        assert trace.total_iterations == 1
+        assert len(trace.iterations) == 1
         assert cumulative_sets(trace)[-1] == {0, 1, 2, 3}
 
     def test_unknown_seed(self):
@@ -172,7 +173,7 @@ class TestRunIc:
         src = src % g.node_count
         trace = run_ic(g, g.label(src))
         dist = bfs_distances(g, src)
-        horizon = trace.total_iterations
+        horizon = len(trace.iterations)
         sets = cumulative_sets(trace)
         for t in range(horizon + 1):
             ball = {v for v, d in dist.items() if d <= t}
@@ -211,7 +212,7 @@ class TestRunSi:
 
     def test_explicit_cap_overrides_default(self, karate):
         trace = run_si(karate, "2", ModelParams(si_beta=1.0), max_iterations=1)
-        assert trace.total_iterations == 1
+        assert len(trace.iterations) == 1
         assert trace.truncated
 
     def test_unknown_seed(self):
