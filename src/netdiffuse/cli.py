@@ -78,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--data-dir", required=True, help="directory with the four edge lists")
     rep.add_argument("--out-dir", required=True, help="output directory for CSVs")
     rep.add_argument("--seeds", default=None,
-                     help="seed config file with dataset=label lines")
+                     help="seed config file with dataset=label lines; without seeds "
+                          "for lesmis, jazz and polblogs (karate defaults to 2) "
+                          "reproduce exits 2")
 
     tie = sub.add_parser("tie-table", help="dump the tie-strength debug CSV")
     tie.add_argument("--graph", required=True, help="edge-list file")

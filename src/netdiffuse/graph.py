@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     EdgeListParseError,
     EmptyInputError,
+    GraphError,
     UnknownNodeError,
 )
 
@@ -242,10 +243,21 @@ def load_edge_list_path(path: str | Path) -> Graph:
 
 
 def serialize_edge_list(g: Graph) -> str:
-    """Canonical edge-list text: sorted ``u v`` lines with u < v by label."""
+    """Canonical edge-list text that loads back as ``g``'s edges: sorted
+    ``u v`` lines with u < v by label, except that a ``#``-leading label
+    goes second, so the line is not read as a comment.
+
+    Raises GraphError for a label that is not one token (empty, or with
+    whitespace) and for an edge whose labels both start with ``#``.
+    """
+    for label in g.labels:
+        if label.split() != [label]:
+            raise GraphError(f"label {label!r} cannot be written as one token")
     lines = []
     for v, u in g.edges():
-        a, b = sorted((g.label(v), g.label(u)))
+        a, b = sorted((g.label(v), g.label(u)), key=lambda label: (label.startswith("#"), label))
+        if a.startswith("#"):
+            raise GraphError(f"edge ({a!r}, {b!r}) cannot be written: both labels start with #")
         lines.append(f"{a} {b}")
     lines.sort()
     return "\n".join(lines) + ("\n" if lines else "")

@@ -7,10 +7,12 @@ runs keep contributing their terminal state to later iterations, except
 the new-activation count, which is zero once a run has finished).
 
 reproduce_paper drives all four benchmark networks (``DATASETS``)
-through all three models and emits the figure-equivalent CSV files plus
-a deviation report that covers every reference value, line by line.
-Both entry points load a graph, reduce it to its largest connected
-component and check the seed node in one place, ``_load_run_graph``.
+through all three models with the ``ModelParams()`` defaults and emits
+the figure-equivalent CSV files plus a deviation report that covers
+every reference value, line by line. Both entry points load a graph,
+reduce it to its largest connected component and check the seed node
+in one place, ``_load_run_graph``, and run and evaluate each model in
+one place, ``_experiment``.
 """
 from __future__ import annotations
 
@@ -61,9 +63,6 @@ DATASETS = {
 }
 DATASET_NAMES = tuple(DATASETS)
 
-# Mean-series fields: the metric columns of the metrics CSV.
-_MEAN_FIELDS = METRICS_COLUMNS[5:]
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -100,11 +99,12 @@ class ExperimentConfig:
 
 @dataclass
 class ModelResult:
-    """All runs of one model plus the aggregate series when runs > 1."""
+    """All runs of one model plus, when runs > 1, the mean series (rows in
+    ``IterationMetrics.values()`` order) and the padded-run counts."""
 
     traces: list[DiffusionTrace]
     metrics: list[list[IterationMetrics]]
-    mean_series: list[dict[str, float]] | None = None
+    mean_series: list[tuple[float, ...]] | None = None
     padded_runs: list[int] | None = None
 
 
@@ -130,24 +130,9 @@ def _load_run_graph(path: Path | str, seed_node: str) -> Graph:
     return g
 
 
-def _run_model(
-    g: Graph,
-    model: str,
-    seed: str,
-    params: ModelParams,
-    run_index: int = 0,
-    max_iterations: int | None = None,
-) -> DiffusionTrace:
-    """One run of ``model``; cns builds its own tie table."""
-    if model == "cns":
-        return run_cns(g, seed, max_iterations=max_iterations)
-    run = run_ic if model == "ic" else run_si
-    return run(g, seed, params, run_index=run_index, max_iterations=max_iterations)
-
-
 def _mean_series(
     metrics: list[list[IterationMetrics]], finals: list[IterationMetrics]
-) -> tuple[list[dict[str, float]], list[int]]:
+) -> tuple[list[tuple[float, ...]], list[int]]:
     """Per-iteration means across runs, terminal-value padded.
 
     A run shorter than the longest one keeps its final state (``finals``)
@@ -165,32 +150,50 @@ def _mean_series(
     )
     # Summing over axis 0 adds the runs one at a time, in run order.
     means = table.sum(axis=0) / len(metrics)
-    series = [dict(zip(_MEAN_FIELDS, row)) for row in means.tolist()]
+    series = [tuple(row) for row in means.tolist()]
     padded = [sum(len(rows) <= t for rows in metrics) for t in range(longest)]
     return series, padded
+
+
+def _experiment(
+    g: Graph,
+    model: str,
+    seed: str,
+    params: ModelParams,
+    runs: int = 1,
+    max_iterations: int | None = None,
+) -> ModelResult:
+    """``runs`` evaluated runs of ``model`` from ``seed``; cns builds its
+    own tie table. The runners and ``evaluate_trace`` are read from this
+    module's globals at call time, so a wrapper installed there sees
+    every call."""
+    if model == "cns":
+        traces = [run_cns(g, seed, max_iterations=max_iterations) for _ in range(runs)]
+    else:
+        run = run_ic if model == "ic" else run_si
+        traces = [
+            run(g, seed, params, run_index=r, max_iterations=max_iterations)
+            for r in range(runs)
+        ]
+    metrics = [evaluate_trace(t) for t in traces]
+    result = ModelResult(traces, metrics)
+    if runs > 1:
+        # A run that activated nobody ends in its seed-only state.
+        finals = [
+            rows[-1] if rows else evaluate_trace(t, include_initial=True)[0]
+            for t, rows in zip(traces, metrics)
+        ]
+        result.mean_series, result.padded_runs = _mean_series(metrics, finals)
+    return result
 
 
 def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Execute one config end to end; see module docstring for aggregation."""
     g = _load_run_graph(config.graph_path, config.seed_node)
-    traces = [
-        _run_model(g, config.model, config.seed_node, config.params, r, config.max_iterations)
-        for r in range(config.runs)
-    ]
-    metrics = [evaluate_trace(g, t) for t in traces]
-    result = ModelResult(traces, metrics)
-    if config.runs > 1:
-        # A run that activated nobody ends in its seed-only state.
-        finals = [
-            rows[-1] if rows else evaluate_trace(g, t, include_initial=True)[0]
-            for t, rows in zip(traces, metrics)
-        ]
-        result.mean_series, result.padded_runs = _mean_series(metrics, finals)
-    return ComparisonReport(
-        dataset=config.dataset,
-        seed_node=config.seed_node,
-        results={config.model: result},
+    result = _experiment(
+        g, config.model, config.seed_node, config.params, config.runs, config.max_iterations
     )
+    return ComparisonReport(config.dataset, config.seed_node, {config.model: result})
 
 
 def write_report_csv(report: ComparisonReport, stream: IO[str]) -> None:
@@ -203,8 +206,7 @@ def write_report_csv(report: ComparisonReport, stream: IO[str]) -> None:
             for row in rows
         ]
         means = [
-            ("mean", t, [mean[field] for field in _MEAN_FIELDS])
-            for t, mean in enumerate(result.mean_series or (), start=1)
+            ("mean", t, mean) for t, mean in enumerate(result.mean_series or (), start=1)
         ]
         writer.writerows(
             [report.dataset, name, run, report.seed_node, t, *map(format_cell, values)]
@@ -275,7 +277,6 @@ def reproduce_paper(
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    params = ModelParams(ic_probability=1.0, si_beta=0.5, rng_seed=42)
     produced: dict[tuple[str, str], list[IterationMetrics]] = {}
     avg_degrees: dict[str, float] = {}
     for name, expected in DATASETS.items():
@@ -292,8 +293,7 @@ def reproduce_paper(
             )
         avg_degrees[name] = average_degree(g)
         for model in MODELS:
-            trace = _run_model(g, model, seed, params)
-            produced[(name, model)] = evaluate_trace(g, trace)
+            produced[(name, model)] = _experiment(g, model, seed, ModelParams()).metrics[0]
 
     written: list[Path] = []
 

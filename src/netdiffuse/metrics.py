@@ -1,14 +1,15 @@
 """Per-iteration evaluation of diffusion traces.
 
-Each iteration's cumulative active set induces a subgraph, the diffusion
-horizon, and every reported quantity is a property of that horizon:
-coverage against the full graph, then diameter, average distance,
-density and average degree within it. Each horizon is induced from the
-parent graph's CSR adjacency, which the graph builds once, and its
-distances come from one bit-packed breadth-first search from all of its
-nodes at once. Distance metrics skip disconnected pairs; a single-node
-horizon reports zeros across the board so pre-diffusion rows stay
-representable.
+Each iteration's cumulative active set induces a subgraph of the graph
+the trace carries, the diffusion horizon, and every reported quantity
+is a property of that horizon: coverage against the full graph, then
+diameter, average distance, density and average degree within it. Each
+horizon is induced from the parent graph's CSR adjacency, which the
+graph builds once, and its distances come from one bit-packed
+breadth-first search from all of its nodes at once. Distance metrics
+skip disconnected pairs, and density is 0 below two nodes, so a
+single-node horizon (the seed-only row) reports zeros across the board
+through the same path as every other row.
 
 An ``IterationMetrics`` row is the one record every output reads: its
 ``values()`` are the metric columns of ``METRICS_COLUMNS`` in order, and
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownNodeError
-from .graph import Adjacency, Graph, distance_summary
+from .graph import Adjacency, distance_summary
 from .models import DiffusionTrace
 
 __all__ = [
@@ -70,39 +70,33 @@ def _horizon_metrics(
     adjacency: Adjacency, iteration: int, new_active: int, members: np.ndarray
 ) -> IterationMetrics:
     n = len(members)
-    coverage = n / adjacency.node_count
-    if n == 1:
-        return IterationMetrics(iteration, new_active, coverage, 1, 0, 0, 0.0, 0.0, 0.0)
     horizon = adjacency.induced(members)
     edges = len(horizon.indices) // 2
     diameter, total, pairs = distance_summary(horizon)
     return IterationMetrics(
         iteration=iteration,
         new_active=new_active,
-        coverage=coverage,
+        coverage=n / adjacency.node_count,
         horizon_nodes=n,
         horizon_edges=edges,
         diameter=diameter,
         avg_distance=total / pairs if pairs else 0.0,
-        density=2.0 * edges / (n * (n - 1)),
+        density=2.0 * edges / (n * (n - 1)) if n > 1 else 0.0,
         avg_degree=2.0 * edges / n,
     )
 
 
 def evaluate_trace(
-    g: Graph, trace: DiffusionTrace, include_initial: bool = False
+    trace: DiffusionTrace, include_initial: bool = False
 ) -> list[IterationMetrics]:
-    """One metrics row per trace iteration, computed on the horizon.
+    """One metrics row per trace iteration, computed on the horizon in
+    ``trace.graph``.
 
     include_initial prepends an iteration-0 row for the seed-only state,
-    with no new activations. A trace recorded on a graph other than g
-    (neither the same object nor an equal graph) raises
-    UnknownNodeError.
+    with no new activations.
     """
-    if trace.graph is not g and trace.graph != g:
-        raise UnknownNodeError("trace was recorded on a different graph")
-    adjacency = g.adjacency
-    active = np.zeros(g.node_count, dtype=bool)
+    adjacency = trace.graph.adjacency
+    active = np.zeros(adjacency.node_count, dtype=bool)
     active[trace.seed] = True
     rows: list[IterationMetrics] = []
     if include_initial:

@@ -113,7 +113,7 @@ def test_criterion_3_karate_ic_coverage(graphs):
 
 def test_criterion_4_karate_cns_two_tier(graphs, repro):
     trace = run_cns(graphs["karate"], "2")
-    rows = evaluate_trace(graphs["karate"], trace)
+    rows = evaluate_trace(trace)
     final_nodes = len(cumulative_sets(trace)[-1])
 
     tier1 = abs(len(trace.iterations) - 3) <= 1 and abs(final_nodes - 33) <= 2
@@ -162,11 +162,11 @@ def test_criterion_5_metric_internal_consistency(graphs):
             run_si(g, seed, params),
         )
         for trace in traces:
-            for row in evaluate_trace(g, trace):
+            for row in evaluate_trace(trace):
                 gap = abs(row.avg_degree - row.density * (row.horizon_nodes - 1))
                 worst = max(worst, gap)
                 rows_checked += 1
-    karate_rows = evaluate_trace(graphs["karate"], run_cns(graphs["karate"], "2"))
+    karate_rows = evaluate_trace(run_cns(graphs["karate"], "2"))
     triples = [(r.horizon_nodes, r.horizon_edges) for r in karate_rows]
     ok = worst <= 1e-9 and triples == [(11, 24), (27, 61), (33, 76)]
     _verdict(

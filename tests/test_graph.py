@@ -20,6 +20,7 @@ import netdiffuse
 from netdiffuse.errors import (
     EdgeListParseError,
     EmptyInputError,
+    GraphError,
     UnknownNodeError,
 )
 from netdiffuse.graph import (
@@ -152,6 +153,21 @@ class TestSerialize:
             frozenset((back.label(v), back.label(u))) for v, u in back.edges()
         }
         assert back.edge_count == g.edge_count
+
+    def test_hash_leading_label_goes_second(self):
+        # "#b a" would reload as a comment line.
+        g = graph_from_text("a #b\nc ##\ne# #b\n")
+        text = serialize_edge_list(g)
+        assert text == "a #b\nc ##\ne# #b\n"
+        assert graph_from_text(text) == g
+
+    @pytest.mark.parametrize(
+        "pair",
+        [("#a", "#b"), ("", "b"), ("a b", "c"), ("a", "b\tc"), ("a", "b\x0cc")],
+    )
+    def test_label_not_one_token_rejected(self, pair):
+        with pytest.raises(GraphError, match="cannot be written"):
+            serialize_edge_list(graph_from_edges([pair]))
 
 
 class TestTraversal:
@@ -461,7 +477,7 @@ class TestWholeGraphMetrics:
     def test_karate_table_values(self, karate):
         assert average_degree(karate) == pytest.approx(4.59, abs=0.01)
         # An ic run at p = 1 ends on the whole (connected) graph.
-        whole = evaluate_trace(karate, run_ic(karate, "1", ModelParams(1.0)))[-1]
+        whole = evaluate_trace(run_ic(karate, "1", ModelParams(1.0)))[-1]
         assert whole.coverage == 1.0
         assert whole.density == pytest.approx(0.1390, abs=0.0001)
 

@@ -16,6 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import netdiffuse
+from netdiffuse import harness
 from netdiffuse.cli import main
 from netdiffuse.errors import (
     ConfigError,
@@ -165,11 +166,11 @@ class TestRunExperiment:
         # padded runs hold their final state, so the mean coverage at the
         # last aligned iteration is the mean of the runs' final coverages
         finals = [rows[-1].coverage for rows in result.metrics]
-        assert result.mean_series[-1]["coverage"] == pytest.approx(
-            sum(finals) / len(finals)
-        )
+        # mean rows are in IterationMetrics.values() order
+        last = dict(zip(METRICS_COLUMNS[5:], result.mean_series[-1], strict=True))
+        assert last["coverage"] == pytest.approx(sum(finals) / len(finals))
         # a finished run contributes no further activations
-        assert result.mean_series[-1]["new_active"] <= max(
+        assert last["new_active"] <= max(
             len(t.iterations[-1]) for t in result.traces
         )
 
@@ -178,13 +179,13 @@ class TestRunExperiment:
         report = run_experiment(config)
         result = report.results["ic"]
         assert any(not rows for rows in result.metrics)
-        g = result.traces[0].graph
-        seed_row = evaluate_trace(g, result.traces[0], include_initial=True)[0]
+        seed_row = evaluate_trace(result.traces[0], include_initial=True)[0]
         finals = [rows[-1] if rows else seed_row for rows in result.metrics]
-        assert result.mean_series[-1]["cum_active"] == pytest.approx(
+        last = dict(zip(METRICS_COLUMNS[5:], result.mean_series[-1], strict=True))
+        assert last["cum_active"] == pytest.approx(
             sum(row.horizon_nodes for row in finals) / len(finals)
         )
-        assert result.mean_series[-1]["coverage"] == pytest.approx(
+        assert last["coverage"] == pytest.approx(
             sum(row.coverage for row in finals) / len(finals)
         )
 
@@ -199,6 +200,35 @@ class TestRunExperiment:
         for row in rows:
             if row["run"] == "mean":
                 float(row["new_active"])  # fractional cells parse as numbers
+
+
+def _count_calls(monkeypatch, *names):
+    """Replace each ``netdiffuse.harness`` global in ``names`` with a
+    counting wrapper; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(harness, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+class TestRunnerLookup:
+    """Both entry points call the runners and ``evaluate_trace`` through
+    the harness module's globals at call time, so a wrapper installed
+    there (as ``perfbench/tracer.py`` installs one) sees every call."""
+
+    def test_run_experiment(self, monkeypatch, karate_path):
+        calls = _count_calls(monkeypatch, "run_si", "evaluate_trace")
+        run_experiment(ExperimentConfig(karate_path, "si", "2", runs=3))
+        assert calls == {"run_si": 3, "evaluate_trace": 3}
+
+    def test_reproduce_paper(self, monkeypatch, data_dir, tmp_path):
+        calls = _count_calls(monkeypatch, "run_si", "evaluate_trace")
+        seeds = parse_seeds_file(data_dir / "seeds_example.txt")
+        reproduce_paper(data_dir, tmp_path, seeds)
+        assert calls == {"run_si": 4, "evaluate_trace": 12}
 
 
 class TestSeedsFile:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netdiffuse.errors import UnknownNodeError
 from netdiffuse.graph import (
     all_pairs_distances,
     average_degree,
@@ -150,7 +149,7 @@ class TestDistanceKernel:
         ]
         iterations = tuple(r for r in rounds if len(r))
         trace = DiffusionTrace(g, 0, iterations)
-        rows = evaluate_trace(g, trace, include_initial=True)
+        rows = evaluate_trace(trace, include_initial=True)
         members = {0}
         added = [()] + [r.tolist() for r in iterations]
         assert rows[0].new_active == 0
@@ -175,7 +174,7 @@ class TestEvaluateTrace:
     def test_k3_full_coverage_row(self):
         g = complete_graph(3)
         trace = run_cns(g, "0")
-        rows = evaluate_trace(g, trace)
+        rows = evaluate_trace(trace)
         assert len(rows) == 1
         row = rows[0]
         assert row.coverage == 1.0
@@ -186,7 +185,7 @@ class TestEvaluateTrace:
     def test_initial_row_is_all_zeros(self):
         g = graph_from_text("a b\nb c")
         trace = run_cns(g, "a")
-        row = evaluate_trace(g, trace, include_initial=True)[0]
+        row = evaluate_trace(trace, include_initial=True)[0]
         assert row.iteration == 0
         assert row.horizon_nodes == 1
         assert (row.diameter, row.avg_distance, row.density, row.avg_degree) == (
@@ -195,9 +194,16 @@ class TestEvaluateTrace:
             0.0,
             0.0,
         )
+        # format_cell writes ints bare and floats to six decimals, so the
+        # seed-only row must carry the same types as every other row.
+        ints = (row.iteration, row.new_active, row.horizon_nodes, row.horizon_edges,
+                row.diameter)
+        floats = (row.avg_distance, row.density, row.avg_degree)
+        assert [type(v) for v in ints] == [int] * 5
+        assert [type(v) for v in floats] == [float] * 3
 
     def test_karate_cns_horizons(self, karate):
-        rows = evaluate_trace(karate, run_cns(karate, "2"))
+        rows = evaluate_trace(run_cns(karate, "2"))
         assert [(r.horizon_nodes, r.horizon_edges) for r in rows] == [
             (11, 24),
             (27, 61),
@@ -206,34 +212,11 @@ class TestEvaluateTrace:
         assert [r.diameter for r in rows] == [2, 4, 5]
         assert [round(r.avg_distance, 4) for r in rows] == [1.5636, 2.2906, 2.4148]
 
-    def test_foreign_trace_rejected(self, karate):
-        trace = run_cns(graph_from_text("x y"), "x")
-        with pytest.raises(UnknownNodeError):
-            evaluate_trace(karate, trace)
-
-    def test_trace_of_another_graph_on_the_same_labels_rejected(self):
-        # Every label of h's run is also a label of g, so only the graph
-        # the trace records can tell that the run was not on g.
-        g = graph_from_text("a b\nb c\n")
-        h = graph_from_text("a b\nb c\nc a\n")
-        assert g.labels == h.labels
-        with pytest.raises(UnknownNodeError):
-            evaluate_trace(g, run_cns(h, "a"))
-
-    def test_trace_of_an_equal_graph_accepted(self):
-        g = graph_from_text("a b\nb c\n")
-        twin = graph_from_text("a b\nb c\n")
-        assert twin is not g
-        rows = evaluate_trace(g, run_cns(twin, "a"))
-        assert [r.values() for r in rows] == [
-            r.values() for r in evaluate_trace(g, run_cns(g, "a"))
-        ]
-
     @settings(max_examples=30, deadline=None)
     @given(random_graphs())
     def test_consistency_and_monotonicity(self, g):
         trace = run_si(g, g.label(0), ModelParams(si_beta=0.6, rng_seed=5))
-        rows = evaluate_trace(g, trace)
+        rows = evaluate_trace(trace)
         previous = None
         for row in rows:
             assert abs(row.avg_degree - row.density * (row.horizon_nodes - 1)) <= 1e-9
@@ -249,7 +232,7 @@ class TestEvaluateTrace:
     def test_distances_match_queue_bfs(self, g):
         trace = run_ic(g, g.label(0))
         members = cumulative_sets(trace)[-1]
-        rows = evaluate_trace(g, trace)
+        rows = evaluate_trace(trace)
         if not rows:
             return
         finite = horizon_distance_oracle(g, members)
