@@ -40,6 +40,8 @@ __all__ = [
     "average_degree",
 ]
 
+_GATHER_WORDS = 1 << 18  # uint64 words per neighbor gather of the all-sources BFS (2 MiB)
+
 
 class Adjacency(NamedTuple):
     """Compressed sparse rows of a symmetric adjacency.
@@ -74,7 +76,7 @@ class Adjacency(NamedTuple):
         """Rows and columns of ``members``, renumbered in ascending order:
         exactly the edges with both ends among the members. Raises
         UnknownNodeError for a member outside 0 .. node_count - 1."""
-        keep = np.unique(np.asarray(members, dtype=np.int64))
+        keep = sorted_unique(np.asarray(members, dtype=np.int64))
         if len(keep) and (keep[0] < 0 or keep[-1] >= self.node_count):
             bad = keep[0] if keep[0] < 0 else keep[-1]
             raise UnknownNodeError(f"no node with index {bad}")
@@ -177,23 +179,40 @@ class Graph:
         return rows
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending: ``np.unique(values)``.
+
+    numpy 2.4's ``np.unique`` calls ``np.ma.is_masked``, which imports
+    ``numpy.ma`` on first use: 14 ms (``-X importtime``) and 1.3 MiB of
+    RSS in every process that loads a graph. A sort and one comparison
+    of neighbors give the same array without it.
+    """
+    out = np.sort(values)
+    keep = np.ones(len(out), dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def graph_from_edges(pairs: Iterable[tuple[str, str]]) -> Graph:
     """Build a graph from label pairs, dropping self loops and duplicates.
 
     Node indices follow first appearance of each label in the pair stream.
     """
-    return _graph_from_tokens([token for a, b in pairs for token in (a, b)])
+    return _graph_from_tokens(token for a, b in pairs for token in (a, b))
 
 
-def _graph_from_tokens(tokens: list[str]) -> Graph:
-    """The graph of the edges (tokens[0], tokens[1]), (tokens[2], tokens[3]),
-    ...; ids follow first appearance, from one ``dict.setdefault`` pass."""
+def _graph_from_tokens(tokens: Iterable[str]) -> Graph:
+    """The graph of the edges (first token, second token), (third, fourth),
+    ...; ids follow first appearance, from one ``dict.setdefault`` pass
+    that consumes the tokens as they come, so no list of them is built."""
     index_of: dict[str, int] = {}
-    ends = [index_of.setdefault(token, len(index_of)) for token in tokens]
-    v, u = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    ends = np.fromiter(
+        (index_of.setdefault(token, len(index_of)) for token in tokens), dtype=np.int64
+    )
+    v, u = ends.reshape(-1, 2).T
     n = len(index_of)
     lo, hi = np.minimum(v, u), np.maximum(v, u)
-    keys = np.unique((lo * n + hi)[lo != hi])
+    keys = sorted_unique((lo * n + hi)[lo != hi])
     # Both orientations of each edge, in order of source, then target.
     keys = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -221,7 +240,14 @@ def load_edge_list(source: IO[bytes] | IO[str]) -> Graph:
     """
     raw = source.read()
     text = decode_utf8(raw) if isinstance(raw, bytes) else raw
-    tokens: list[str] = []
+    g = _graph_from_tokens(_edge_tokens(text))
+    if g.edge_count == 0:
+        raise EmptyInputError("edge list contains no usable edges")
+    return g
+
+
+def _edge_tokens(text: str) -> Iterator[str]:
+    """The two tokens of each edge line of ``text``, line by line."""
     for line_number, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
@@ -230,11 +256,7 @@ def load_edge_list(source: IO[bytes] | IO[str]) -> Graph:
             raise EdgeListParseError(
                 f"expected two tokens, got {len(fields)}: {line.strip()!r}", line_number
             )
-        tokens += fields
-    g = _graph_from_tokens(tokens)
-    if g.edge_count == 0:
-        raise EmptyInputError("edge list contains no usable edges")
-    return g
+        yield from fields
 
 
 def load_edge_list_path(path: str | Path) -> Graph:
@@ -344,6 +366,10 @@ def _bfs_levels(adjacency: Adjacency) -> Iterator[tuple[int, np.ndarray]]:
     s. A level ORs the columns of each node's neighbors, one contiguous
     run per word row, so the search is bitwise throughout. The yielded
     array is the next level's input and must not be changed.
+
+    The neighbor columns are gathered a slice of word rows at a time:
+    each gather holds at most ``_GATHER_WORDS`` words, or one word row
+    of 2m words when that row alone is larger.
     """
     indptr, indices = adjacency
     n = adjacency.node_count
@@ -359,12 +385,15 @@ def _bfs_levels(adjacency: Adjacency) -> Iterator[tuple[int, np.ndarray]]:
     # reduceat gives an empty segment its start element: skip isolated nodes.
     has = np.diff(indptr) > 0
     starts = indptr[:-1][has]
+    step = max(1, _GATHER_WORDS // len(indices))
     level = 0
     while True:
         reached = np.zeros_like(visited)
-        reached[:, has] = np.bitwise_or.reduceat(
-            frontier.take(indices, axis=1), starts, axis=1
-        )
+        for lo in range(0, len(visited), step):
+            rows = slice(lo, lo + step)
+            reached[rows, has] = np.bitwise_or.reduceat(
+                frontier[rows].take(indices, axis=1), starts, axis=1
+            )
         reached &= ~visited
         if not reached.any():
             return

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InactiveNodeError
-from .graph import Graph
+from .graph import Graph, sorted_unique
 from .ties import TieStrengthTable, build_tie_strength_table
 
 __all__ = [
@@ -158,7 +158,7 @@ def run_ic(
         targets = g.adjacency.rows(frontier)
         targets = targets[~active[targets]]
         # random() lives in [0, 1), so p = 1 always succeeds.
-        return np.unique(targets[rng.random(len(targets)) < p])
+        return sorted_unique(targets[rng.random(len(targets)) < p])
 
     return _cascade(g, s, spread, max_iterations)
 
@@ -201,7 +201,7 @@ def run_si(
             # trigger another draw, so stop now with the same outcome.
             truncated = True
             break
-        newly = np.unique(targets[rng.random(len(targets)) < beta])
+        newly = sorted_unique(targets[rng.random(len(targets)) < beta])
         if len(newly):
             rounds.append(newly)
             infected[newly] = True

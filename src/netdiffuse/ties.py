@@ -21,19 +21,20 @@ of these identities holds the terms of the ordered edge (v, N(v)[i]):
 (the last two see each connected common-neighbor pair from both ends).
 The common-neighbor count ``cn`` of every edge is a popcount of the AND
 of its ends' packed adjacency rows, taken over bounded slices of edges.
-One dense float32 matrix ``marked`` holds ``cn + 1`` on every edge and 0
+One dense matrix ``marked`` holds ``cn + 1`` on every edge and 0
 elsewhere, so ``B = marked > 0`` and ``W = marked - B`` on any block; its
-extra row and column n belong to a padding node without edges. The
-nodes, sorted by degree, are cut into chunks of at most
+extra row and column n belong to a padding node without edges. Its
+dtype is the smallest unsigned integer type that holds n, which holds
+``cn + 1 <= n - 1`` exactly: uint16 on polblogs, half the bytes of
+float32. The nodes, sorted by degree, are cut into chunks of at most
 ``_BLOCK_CELLS`` block cells (m nodes of largest degree D hold m * D**2);
 a node whose block alone is larger is a chunk by itself. A chunk pads
 every neighbor list to width D with node n, gathers its blocks with one
-index and evaluates the identities as stacked products; padding adds
-only zeros. The products run in float64 and are exact while every count
-stays below 2**53; ``cn + 1`` is at most n - 1, exact in float32 below
-2**24. An edge-wise kernel over (edge, common neighbor) incidences gives
-the same terms but was measured 6x slower on polblogs, so the blocks
-stay per node. Every score lives in edge-indexed arrays in
+index and evaluates the identities as stacked products in float64;
+padding adds only zeros. The products are exact while every count stays
+below 2**53. An edge-wise kernel over (edge, common neighbor) incidences
+gives the same terms but was measured 6x slower on polblogs, so the
+blocks stay per node. Every score lives in edge-indexed arrays in
 ``Graph.adjacency`` order: position k is the ordered edge (v, indices[k])
 for the row v that holds k, so rows ascend by v and, within a row, by
 neighbor.
@@ -212,7 +213,8 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
         common = words[sources[edges]] & words[indices[edges]]
         cn[edges] = np.bitwise_count(common).sum(axis=1)
     # cn + 1 on every edge, 0 elsewhere; row and column n pad the blocks.
-    marked = np.zeros((n + 1, n + 1), dtype=np.float32)
+    # cn + 1 <= n - 1, so the smallest unsigned type that holds n is exact.
+    marked = np.zeros((n + 1, n + 1), dtype=np.min_scalar_type(n))
     marked[sources, indices] = cn + 1
     flat = marked.ravel()
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,22 @@ def strong_pairs(table) -> set[tuple[int, int]]:
     """The strong ties of a tie table as ordered (v, u) index pairs."""
     sources, targets = table.graph.adjacency.sources(), table.graph.adjacency.indices
     return set(zip(sources[table.strong].tolist(), targets[table.strong].tolist()))
+
+
+def traced_peak_mib(fn):
+    """``fn()`` and the peak memory it allocated, in MiB, by tracemalloc,
+    which sees numpy's array buffers as well as Python objects."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, (peak - base) / 2**20
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netdiffuse
+from netdiffuse import graph as graph_module
 from netdiffuse.errors import (
     EdgeListParseError,
     EmptyInputError,
@@ -41,7 +43,9 @@ from netdiffuse.graph import (
 from netdiffuse.metrics import evaluate_trace
 from netdiffuse.models import ModelParams, run_ic
 
-from conftest import complete_graph, cycle_graph, er_graph, path_graph, random_graphs
+from conftest import (
+    complete_graph, cycle_graph, er_graph, path_graph, random_graphs, traced_peak_mib
+)
 
 
 def bfs_oracle(g, source):
@@ -62,6 +66,14 @@ def bfs_oracle(g, source):
             dist[int(v)] = step
         reach |= frontier
     return dist
+
+
+def distance_summary_oracle(g):
+    """(diameter, distance sum, pair count) from ``bfs_oracle``."""
+    finite = [
+        d for v in range(g.node_count) for u, d in bfs_oracle(g, v).items() if u > v
+    ]
+    return max(finite, default=0), sum(finite), len(finite)
 
 
 def floyd_warshall_oracle(g):
@@ -432,22 +444,58 @@ class TestAdjacencyBits:
         self.check(g)
 
 
+def run_python(code, *args):
+    """stdout of ``python -c code args`` in a fresh interpreter on this package."""
+    src = str(Path(netdiffuse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout.strip()
+
+
 def test_imports_load_no_scipy():
     """The package, the CLI and the graph layer start on numpy alone."""
     code = (
         "import sys, netdiffuse, netdiffuse.cli, netdiffuse.graph\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
-    src = str(Path(netdiffuse.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
+    assert run_python(code) == "[]"
+
+
+def test_commands_do_not_import_numpy_ma(data_dir, tmp_path):
+    """``reproduce`` and ``tie-table`` never import numpy.ma, which
+    ``np.unique`` imports on first call."""
+    code = (
+        "import sys\n"
+        "from netdiffuse.cli import main\n"
+        "data, out = sys.argv[1:]\n"
+        "assert main(['reproduce', '--data-dir', data, '--out-dir', out + '/repro',\n"
+        "             '--seeds', data + '/seeds_example.txt']) == 0\n"
+        "assert main(['tie-table', '--graph', data + '/polblogs.txt',\n"
+        "             '--out', out + '/ties.csv']) == 0\n"
+        "print('numpy.ma' in sys.modules)"
     )
-    assert result.stdout.strip() == "[]"
+    assert run_python(code, data_dir, tmp_path).splitlines()[-1] == "False"
+
+
+class TestMemoryBudget:
+    """Peak traced memory of the polblogs graph kernels. Measured: the
+    loader 1.7 MiB (4.6 with a list of every token), the whole-graph
+    BFS 2.4 MiB (5.9 with one gather of all word rows)."""
+
+    def test_loader(self, data_dir):
+        _, peak = traced_peak_mib(lambda: load_edge_list_path(data_dir / "polblogs.txt"))
+        assert peak < 2.5
+
+    def test_distance_summary(self, data_dir):
+        g = load_edge_list_path(data_dir / "polblogs.txt")
+        _, peak = traced_peak_mib(lambda: distance_summary(g.adjacency))
+        assert peak < 4.0
 
 
 class TestWholeGraphMetrics:
@@ -493,10 +541,29 @@ class TestWholeGraphMetrics:
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(max_nodes=12))
     def test_diameter_is_max_finite_distance(self, g):
-        finite = [
-            d for v in range(g.node_count) for u, d in bfs_oracle(g, v).items() if u > v
-        ]
-        assert distance_summary(g.adjacency) == (max(finite), sum(finite), len(finite))
+        assert distance_summary(g.adjacency) == distance_summary_oracle(g)
+
+
+class TestGatherSlices:
+    """``distance_summary`` against the BFS oracle with the neighbor
+    gather cut into slices of one word row, of two (uneven on three
+    rows), and of every row at once."""
+
+    @staticmethod
+    def check(g, rows):
+        limit = rows * len(g.adjacency.indices)
+        with mock.patch.object(graph_module, "_GATHER_WORDS", limit):
+            assert distance_summary(g.adjacency) == distance_summary_oracle(g)
+
+    @pytest.mark.parametrize("rows", [1, 2, 64])
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_word_boundaries(self, n, rows):
+        self.check(er_graph(n, 3 / n, random.Random(n)), rows)
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_graphs(max_nodes=140), st.sampled_from([1, 2, 64]))
+    def test_random_graphs(self, g, rows):
+        self.check(g, rows)
 
 
 def test_er_generator_is_deterministic():

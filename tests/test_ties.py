@@ -27,7 +27,8 @@ from netdiffuse.ties import (
 )
 
 from conftest import (
-    DATA_DIR, complete_graph, er_edges, random_graphs, star_graph, strong_pairs
+    DATA_DIR, complete_graph, er_edges, random_graphs, star_graph, strong_pairs,
+    traced_peak_mib,
 )
 
 # sha256 of `netdiffuse tie-table` on each bundled edge list (whole file,
@@ -257,6 +258,20 @@ class TestBlockKernel:
         rng = random.Random(11)
         edges = er_edges(40, 0.15, rng)
         assert_matches_oracle(with_isolated_and_leaves(edges, 5, 12, rng))
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_complete_graphs_around_uint8(self, n):
+        # cn + 1 = n - 1 on every edge: 254, 255 and 256 around the uint8
+        # maximum. All ordered edges of K_n are alike: one oracle call.
+        g = complete_graph(n)
+        table = build_tie_strength_table(g)
+        assert (table.terms == oracle_breakdown(g, 0, 1)).all()
+
+    def test_polblogs_memory(self):
+        # Measured 7.4 MiB; 10.4 with ``cn + 1`` held in float32.
+        g = load_edge_list_path(DATA_DIR / "polblogs.txt")
+        _, peak = traced_peak_mib(lambda: build_tie_strength_table(g))
+        assert peak < 9.0
 
     @settings(max_examples=120, deadline=None)
     @given(mixed_shapes(), st.sampled_from([1, 4, 30, 200, 1 << 15]))
