@@ -44,16 +44,24 @@ _GATHER_WORDS = 1 << 18  # uint64 words per neighbor gather of the all-sources B
 
 
 class Adjacency(NamedTuple):
-    """Compressed sparse rows of a symmetric adjacency.
+    """Compressed sparse rows of a digraph without self arcs.
 
-    Row v is ``indices[indptr[v]:indptr[v + 1]]``, the neighbors of v in
-    ascending order; position k is the ordered edge (sources()[k],
-    indices[k]), so edges ascend by source and then by target. Both
-    arrays are int64.
+    Row v is ``indices[indptr[v]:indptr[v + 1]]``, the targets of v in
+    ascending order; position k is the arc (sources()[k], indices[k]),
+    so arcs ascend by source and then by target. Both arrays are int64.
+    Rows may be directed; a ``Graph``'s adjacency is symmetric, as
+    ``_bfs_levels`` and ``distance_summary`` need.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, n: int) -> Adjacency:
+        """The n-node adjacency of ascending distinct int64 keys v * n + u."""
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return cls(indptr, keys % n)
 
     @property
     def node_count(self) -> int:
@@ -85,9 +93,8 @@ class Adjacency(NamedTuple):
         sources = new_index[self.sources()]
         targets = new_index[self.indices]
         inside = (sources >= 0) & (targets >= 0)
-        indptr = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sources[inside], minlength=len(keep)), out=indptr[1:])
-        return Adjacency(indptr, targets[inside])
+        # Renumbering keeps the order, so the keys still ascend.
+        return Adjacency.from_keys(sources[inside] * len(keep) + targets[inside], len(keep))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,13 +218,9 @@ def _graph_from_tokens(tokens: Iterable[str]) -> Graph:
     )
     v, u = ends.reshape(-1, 2).T
     n = len(index_of)
-    lo, hi = np.minimum(v, u), np.maximum(v, u)
-    keys = sorted_unique((lo * n + hi)[lo != hi])
-    # Both orientations of each edge, in order of source, then target.
-    keys = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return Graph(tuple(index_of), Adjacency(indptr, keys % n))
+    # Both orientations of each edge but a self loop, each once, ascending.
+    keys = np.concatenate([v * n + u, u * n + v])[np.tile(v != u, 2)]
+    return Graph(tuple(index_of), Adjacency.from_keys(sorted_unique(keys), n))
 
 
 def decode_utf8(raw: bytes) -> str:

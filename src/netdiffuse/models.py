@@ -7,29 +7,26 @@ is never recorded as a row. Rounds that activate nothing are not
 recorded, which keeps cumulative coverage strictly increasing.
 
 The strong-tie cascade depends on the active set only through the final
-subtraction, so each node's targets are fixed: row v of
-``TieStrengthTable.reach``, whose rule the ``ties`` module states. A
-round is then one OR over the reach rows of the last round's
-activations.
+subtraction, so each node's targets are fixed: its row of the reach
+digraph ``TieStrengthTable.reach``, whose rule the ``ties`` module
+states. It is the independent cascade at p = 1 on that digraph.
 
-Stochastic draws are ordered: actors by ascending internal index, then
-targets by ascending internal index, one uniform per (actor, target)
-attempt. IC and SI lay the CSR rows of a round's actors end to end,
-drop the targets already active, and take the round's uniforms in one
-vector draw, which yields the same numbers as one scalar draw per
-attempt in that order. Streams derive from (rng_seed, run_index), so
-repetitions of one experiment are independent but individually
-reproducible.
+Every round of every model is one attempt step: lay the CSR rows of the
+actors end to end, drop the targets already active and, for IC and SI,
+take one uniform per (actor, target) attempt in one vector draw. Actors
+and targets ascend by internal index, so the draw yields the same
+numbers as one scalar draw per attempt in that order. Streams derive
+from (rng_seed, run_index), so repetitions of one experiment are
+independent but individually reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InactiveNodeError
-from .graph import Graph, sorted_unique
+from .errors import ConfigError, GraphError, InactiveNodeError
+from .graph import Adjacency, Graph, sorted_unique
 from .ties import TieStrengthTable, build_tie_strength_table
 
 __all__ = [
@@ -77,25 +74,42 @@ class DiffusionTrace:
     truncated: bool = False
 
 
+def _reach(g: Graph, table: TieStrengthTable) -> Adjacency:
+    if table.graph != g:
+        raise GraphError("tie table belongs to another graph")
+    return table.reach
+
+
 def cns_activate(
     g: Graph, table: TieStrengthTable, v: int, active: frozenset[int] | set[int]
 ) -> set[int]:
-    """Targets one active node reaches in a single round: row v of
-    ``TieStrengthTable.reach`` minus the active set."""
+    """Targets one active node reaches in a single round: the row of v
+    in ``TieStrengthTable.reach`` minus the active set."""
     if v not in active:
         raise InactiveNodeError(f"node {g.label(v)!r} is not active")
-    return set(np.flatnonzero(table.reach[v]).tolist()) - set(active)
+    return set(_reach(g, table).rows(np.array([v])).tolist()) - set(active)
+
+
+def _attempt(
+    adjacency: Adjacency, actors: np.ndarray, active: np.ndarray,
+    rng: np.random.Generator | None, p: float,
+) -> np.ndarray:
+    """The inactive nodes ``actors`` activate along their rows, ascending;
+    with a stream each attempt succeeds with probability p, else always."""
+    targets = adjacency.rows(actors)
+    targets = targets[~active[targets]]
+    if rng is not None:
+        # random() lives in [0, 1), so p = 1 always succeeds.
+        targets = targets[rng.random(len(targets)) < p]
+    return sorted_unique(targets)
 
 
 def _cascade(
-    g: Graph,
-    s: int,
-    spread: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    max_iterations: int | None,
+    g: Graph, s: int, adjacency: Adjacency, max_iterations: int | None,
+    rng: np.random.Generator | None = None, p: float = 1.0,
 ) -> DiffusionTrace:
-    """A cascade from ``s`` in which only the last round's activations
-    act: ``spread(frontier, active)`` returns the inactive nodes they
-    activate, ascending."""
+    """A cascade from ``s`` along the arcs of ``adjacency`` in which only
+    the last round's activations act, each attempting its row once."""
     active = np.zeros(g.node_count, dtype=bool)
     active[s] = True
     frontier = np.array([s])
@@ -103,7 +117,7 @@ def _cascade(
     while len(frontier):
         if max_iterations is not None and len(rounds) >= max_iterations:
             return DiffusionTrace(g, s, tuple(rounds), not active.all())
-        frontier = spread(frontier, active)
+        frontier = _attempt(adjacency, frontier, active, rng, p)
         if len(frontier):
             rounds.append(frontier)
             active[frontier] = True
@@ -116,20 +130,14 @@ def run_cns(
     table: TieStrengthTable | None = None,
     max_iterations: int | None = None,
 ) -> DiffusionTrace:
-    """Deterministic strong-tie cascade from one seed label.
-
-    A round activates the reach rows of the nodes the last round
-    activated, minus the active set.
-    """
+    """Deterministic strong-tie cascade from one seed label: the
+    independent cascade at p = 1 on the reach digraph, so a round
+    activates the reach rows of the last round's activations, minus the
+    active set. Raises GraphError for a table built for another graph."""
     s = g.index(seed)
     if table is None:
         table = build_tie_strength_table(g)
-    reach = table.reach
-
-    def spread(frontier: np.ndarray, active: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(reach[frontier].any(axis=0) & ~active)
-
-    return _cascade(g, s, spread, max_iterations)
+    return _cascade(g, s, _reach(g, table), max_iterations)
 
 
 def _stream(rng_seed: int, run_index: int) -> np.random.Generator:
@@ -151,16 +159,8 @@ def run_ic(
     if params is None:
         params = ModelParams()
     s = g.index(seed)
-    p = params.ic_probability
     rng = _stream(params.rng_seed, run_index)
-
-    def spread(frontier: np.ndarray, active: np.ndarray) -> np.ndarray:
-        targets = g.adjacency.rows(frontier)
-        targets = targets[~active[targets]]
-        # random() lives in [0, 1), so p = 1 always succeeds.
-        return sorted_unique(targets[rng.random(len(targets)) < p])
-
-    return _cascade(g, s, spread, max_iterations)
+    return _cascade(g, s, g.adjacency, max_iterations, rng, params.ic_probability)
 
 
 def run_si(
@@ -181,28 +181,21 @@ def run_si(
     if params is None:
         params = ModelParams()
     s = g.index(seed)
-    beta = params.si_beta
     cap = max_iterations if max_iterations is not None else SI_CAP_FACTOR * g.node_count
     rng = _stream(params.rng_seed, run_index)
     infected = np.zeros(g.node_count, dtype=bool)
     infected[s] = True
     rounds: list[np.ndarray] = []
-    clock = 0
-    truncated = False
-    while not infected.all():
-        if clock >= cap:
-            truncated = True
+    for _ in range(cap):
+        if infected.all():
             break
-        clock += 1
-        targets = g.adjacency.rows(np.flatnonzero(infected))
-        targets = targets[~infected[targets]]
-        if not len(targets):
-            # Remaining susceptibles are unreachable; the cap would never
-            # trigger another draw, so stop now with the same outcome.
-            truncated = True
-            break
-        newly = sorted_unique(targets[rng.random(len(targets)) < beta])
+        actors = np.flatnonzero(infected)
+        newly = _attempt(g.adjacency, actors, infected, rng, params.si_beta)
         if len(newly):
             rounds.append(newly)
             infected[newly] = True
-    return DiffusionTrace(g, s, tuple(rounds), truncated)
+        elif infected[g.adjacency.rows(actors)].all():
+            # Remaining susceptibles are unreachable; no later round would
+            # draw, so stop now with the outcome the cap would give.
+            break
+    return DiffusionTrace(g, s, tuple(rounds), not infected.all())

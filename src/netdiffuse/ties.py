@@ -44,15 +44,15 @@ source node's row, making it asymmetric; the ordered pairs that reach
 1.0 form the strong-tie set consumed by the diffusion models.
 
 The strong-tie cascade reads one more product of the table, the reach
-matrix: row v is every node an active v activates, before the active
-set is subtracted. It holds v's strong-tie targets u; for each strong
-(v, u) with C = N(v) & N(u), the set C | (N(w) & (N(v) | N(u))) for w
-in C, minus v and u; and each neighbor whose own strong tie points at
-v. The middle part is the contributors of (v, u) that either endpoint
-is adjacent to. The contributors found through a connected pair (w, z)
-of common neighbors lie in N(w), so that restriction leaves the
-pair-overlap term nothing to add, and a bitwise OR over the packed rows
-N(w) of each tie's common neighbors computes it.
+digraph, a CSR ``Adjacency``: row v is every node an active v activates,
+before the active set is subtracted. It holds v's strong-tie targets u;
+for each strong (v, u) with C = N(v) & N(u), the set
+C | (N(w) & (N(v) | N(u))) for w in C, minus v and u; and each neighbor
+whose own strong tie points at v. The middle part is the contributors
+of (v, u) that either endpoint is adjacent to. The contributors found
+through a connected pair (w, z) of common neighbors lie in N(w), so that
+restriction leaves the pair-overlap term nothing to add, and a bitwise
+OR over the packed rows N(w) of each tie's common neighbors computes it.
 """
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .errors import NotAnEdgeError
-from .graph import Graph
+from .graph import Adjacency, Graph
 
 __all__ = [
     "TieStrengthTable",
@@ -133,8 +133,8 @@ class TieStrengthTable:
     strong: np.ndarray
 
     @cached_property
-    def reach(self) -> np.ndarray:
-        """n-by-n bool matrix; row v is what an active v activates.
+    def reach(self) -> Adjacency:
+        """The reach digraph: row v is what an active v activates.
 
         See the module docstring for the three parts of a row. Built on
         first use from the graph's packed adjacency rows.
@@ -162,7 +162,9 @@ class TieStrengthTable:
         # target belongs to the row anyway, the source never does.
         reach[source, target] = reach[target, source] = True
         np.fill_diagonal(reach, False)
-        return reach
+        keys = np.flatnonzero(reach)
+        del reach  # the n-by-n rows go before the CSR is built
+        return Adjacency.from_keys(keys, n)
 
     def edge(self, v: int, u: int) -> int:
         """Index of the ordered edge (v, u) in the edge arrays; raises

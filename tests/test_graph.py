@@ -26,6 +26,7 @@ from netdiffuse.errors import (
     UnknownNodeError,
 )
 from netdiffuse.graph import (
+    Adjacency,
     Graph,
     all_pairs_distances,
     average_degree,
@@ -364,6 +365,43 @@ def induced_rows_oracle(g, members):
             rows[remap[u]].append(remap[v])
     indptr = np.cumsum([0] + [len(row) for row in rows])
     return indptr, [u for row in rows for u in sorted(row)]
+
+
+@st.composite
+def arc_key_sets(draw):
+    """(n, ascending distinct keys v * n + u of arcs without self arcs)."""
+    n = draw(st.integers(1, 12))
+    arcs = [v * n + u for v in range(n) for u in range(n) if v != u]
+    keys = draw(st.sets(st.sampled_from(arcs))) if arcs else set()
+    return n, sorted(keys)
+
+
+class TestAdjacencyFromKeys:
+    """``Adjacency.from_keys`` against rows filled one key at a time."""
+
+    @staticmethod
+    def check(n, keys):
+        rows = [[] for _ in range(n)]
+        for key in keys:
+            rows[key // n].append(key % n)
+        got = Adjacency.from_keys(np.array(keys, dtype=np.int64), n)
+        assert got.indptr.dtype == got.indices.dtype == np.int64
+        assert got.indptr.tolist() == np.cumsum([0] + [len(row) for row in rows]).tolist()
+        assert got.indices.tolist() == [u for row in rows for u in row]
+        assert got.node_count == n
+
+    @pytest.mark.parametrize(
+        "n, keys",
+        [(1, []), (3, []), (3, [5]), (4, [1, 2, 3, 14]), (4, [4, 6, 7, 9])],
+    )
+    def test_empty_rows(self, n, keys):
+        # Empty first, middle and last rows, and a single node.
+        self.check(n, keys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arc_key_sets())
+    def test_any_key_set(self, n_keys):
+        self.check(*n_keys)
 
 
 class TestInducedAdjacency:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdiffuse.errors import InactiveNodeError, UnknownNodeError
-from netdiffuse.graph import bfs_distances, graph_from_text
+from netdiffuse.errors import GraphError, InactiveNodeError, UnknownNodeError
+from netdiffuse.graph import bfs_distances, graph_from_text, load_edge_list_path
 from netdiffuse.models import (
     ModelParams,
     cns_activate,
@@ -88,6 +88,39 @@ class TestCnsActivate:
         assert (h, leaf) not in strong_pairs(table)
         assert (leaf, h) in strong_pairs(table)
         assert leaf in cns_activate(g, table, h, {h})
+
+
+class TestForeignTable:
+    """A tie table serves only the graph it was built for; an equal graph
+    loaded a second time counts as the same graph."""
+
+    @pytest.fixture(scope="class")
+    def lesmis(self, data_dir):
+        return load_edge_list_path(data_dir / "lesmis.txt")
+
+    def test_run_cns_larger_graph(self, karate, lesmis):
+        table = build_tie_strength_table(karate)
+        with pytest.raises(GraphError, match="tie table belongs to another graph"):
+            run_cns(lesmis, "Valjean", table)
+
+    def test_run_cns_same_size_graph(self):
+        # Same node count: foreign rows would be read without an error.
+        path, star = graph_from_text("a b\nb c"), graph_from_text("a b\na c")
+        with pytest.raises(GraphError, match="tie table belongs to another graph"):
+            run_cns(star, "a", build_tie_strength_table(path))
+
+    def test_cns_activate(self, karate, lesmis):
+        table = build_tie_strength_table(karate)
+        v = lesmis.index("Valjean")
+        with pytest.raises(GraphError, match="tie table belongs to another graph"):
+            cns_activate(lesmis, table, v, {v})
+
+    def test_equal_graph_accepted(self, karate, data_dir):
+        table = build_tie_strength_table(load_edge_list_path(data_dir / "karate.txt"))
+        assert trace_key(run_cns(karate, "2", table)) == trace_key(run_cns(karate, "2"))
+        v = karate.index("2")
+        own = build_tie_strength_table(karate)
+        assert cns_activate(karate, table, v, {v}) == cns_activate(karate, own, v, {v})
 
 
 class TestRunCns:
