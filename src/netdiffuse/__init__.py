@@ -18,7 +18,6 @@ from .errors import (
 from .graph import (
     Graph,
     average_degree,
-    bfs_distances,
     graph_from_edges,
     graph_from_text,
     induced_subgraph,

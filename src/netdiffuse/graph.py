@@ -2,15 +2,13 @@
 
 A graph is its labels plus one CSR adjacency. Nodes carry dense 0-based
 internal indices assigned in first-appearance order; the original
-dataset labels are kept as opaque strings. The label map, Python
-neighbor rows and sets, and packed bit rows are built on first use,
-never on load. All functions here are pure and the graph is safe to
-share between threads.
+dataset labels are kept as opaque strings. The label map and the
+packed bit rows are built on first use, never on load. All functions
+here are pure and the graph is safe to share between threads.
 """
 from __future__ import annotations
 
 import io
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -34,7 +32,6 @@ __all__ = [
     "serialize_edge_list",
     "largest_connected_component",
     "induced_subgraph",
-    "bfs_distances",
     "distance_summary",
     "all_pairs_distances",
     "average_degree",
@@ -127,18 +124,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.adjacency.indices) // 2
 
-    def neighbors_of(self, v: int) -> tuple[int, ...]:
-        return self._neighbor_rows[v]
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._neighbor_sets[v]
-
-    def has_node(self, v: int) -> bool:
-        return 0 <= v < len(self.labels)
-
-    def has_edge(self, v: int, u: int) -> bool:
-        return u in self._neighbor_sets[v]
-
     def label(self, v: int) -> str:
         return self.labels[v]
 
@@ -160,16 +145,6 @@ class Graph:
     @cached_property
     def _index_of(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
-
-    @cached_property
-    def _neighbor_rows(self) -> tuple[tuple[int, ...], ...]:
-        flat = self.adjacency.indices.tolist()
-        bounds = self.adjacency.indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    @cached_property
-    def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(frozenset, self._neighbor_rows))
 
     @cached_property
     def bits(self) -> np.ndarray:
@@ -288,21 +263,6 @@ def serialize_edge_list(g: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def bfs_distances(g: Graph, source: int) -> dict[int, int]:
-    """Hop counts from source; unreachable nodes are absent from the map."""
-    if not g.has_node(source):
-        raise UnknownNodeError(f"no node with index {source}")
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors_of(v):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
 def _component_roots(adjacency: Adjacency) -> np.ndarray:
     """The smallest member of each node's component, by min-label propagation.
 
@@ -325,14 +285,6 @@ def _component_roots(adjacency: Adjacency) -> np.ndarray:
         if np.array_equal(low, root):
             return root
         root = low
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted index lists, ordered by smallest member."""
-    root = _component_roots(g.adjacency)
-    order = np.argsort(root, kind="stable")
-    _, starts = np.unique(root[order], return_index=True)
-    return [part.tolist() for part in np.split(order, starts[1:])]
 
 
 def largest_connected_component(g: Graph) -> Graph:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GraphError, InactiveNodeError
+from .errors import ConfigError, GraphError, InactiveNodeError, UnknownNodeError
 from .graph import Adjacency, Graph, sorted_unique
 from .ties import TieStrengthTable, build_tie_strength_table
 
@@ -84,7 +84,11 @@ def cns_activate(
     g: Graph, table: TieStrengthTable, v: int, active: frozenset[int] | set[int]
 ) -> set[int]:
     """Targets one active node reaches in a single round: the row of v
-    in ``TieStrengthTable.reach`` minus the active set."""
+    in ``TieStrengthTable.reach`` minus the active set. Raises
+    UnknownNodeError for an index outside the graph, InactiveNodeError
+    for an inactive v."""
+    if not 0 <= v < g.node_count:
+        raise UnknownNodeError(f"no node with index {v}")
     if v not in active:
         raise InactiveNodeError(f"node {g.label(v)!r} is not active")
     return set(_reach(g, table).rows(np.array([v])).tolist()) - set(active)

@@ -91,29 +91,39 @@ _EDGE_SLICE = 1024  # edges per popcount slice of the common-neighbor counts
 _BLOCK_CELLS = 1 << 15  # block cells per chunk of the term kernel
 
 
+def _edge_index(adjacency: Adjacency, v: int, u: int) -> int:
+    """Position of the arc (v, u) in ``adjacency``; raises NotAnEdgeError
+    if it is not an arc."""
+    indptr, indices = adjacency
+    if 0 <= v < adjacency.node_count and 0 <= u < adjacency.node_count:
+        start, stop = indptr[v], indptr[v + 1]
+        k = int(start + np.searchsorted(indices[start:stop], u))
+        if k < stop and indices[k] == u:
+            return k
+    raise NotAnEdgeError(f"({v}, {u}) is not an edge of the graph")
+
+
 def contributors(g: Graph, v: int, u: int) -> frozenset[int]:
     """Every node that appears in some score term of (v, u), minus v and u.
 
     Empty for degenerate pairs: those score without any third party.
     """
-    if not (g.has_node(v) and g.has_node(u) and g.has_edge(v, u)):
-        raise NotAnEdgeError(f"({v}, {u}) is not an edge of the graph")
-    nv = g.neighbor_set(v)
-    nu = g.neighbor_set(u)
+    _edge_index(g.adjacency, v, u)
+    indptr, indices = g.adjacency
+
+    def row(x: int) -> set[int]:
+        return set(indices[indptr[x] : indptr[x + 1]].tolist())
+
+    nv, nu = row(v), row(u)
     common = sorted(nv & nu)
-    members: set[int] = set()
-    if common:
-        members.update(common)
-        for i, w in enumerate(common):
-            nw = g.neighbor_set(w)
-            members.update(nv & nw)
-            members.update(nu & nw)
-            for z in common[i + 1 :]:
-                if z in nw:
-                    members.update(nw & g.neighbor_set(z))
-        members.discard(v)
-        members.discard(u)
-    return frozenset(members)
+    rows = {w: row(w) for w in common}
+    members = set(common)
+    for i, w in enumerate(common):
+        members |= rows[w] & (nv | nu)
+        for z in common[i + 1 :]:
+            if z in rows[w]:
+                members |= rows[w] & rows[z]
+    return frozenset(members - {v, u})
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,13 +179,7 @@ class TieStrengthTable:
     def edge(self, v: int, u: int) -> int:
         """Index of the ordered edge (v, u) in the edge arrays; raises
         NotAnEdgeError if (v, u) is not an edge."""
-        indptr, indices = self.graph.adjacency
-        if self.graph.has_node(v) and self.graph.has_node(u):
-            start, stop = indptr[v], indptr[v + 1]
-            k = int(start + np.searchsorted(indices[start:stop], u))
-            if k < stop and indices[k] == u:
-                return k
-        raise NotAnEdgeError(f"({v}, {u}) is not an edge of the graph")
+        return _edge_index(self.graph.adjacency, v, u)
 
     def contributor_members(self, v: int, u: int) -> frozenset[int]:
         return contributors(self.graph, v, u)

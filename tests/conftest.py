@@ -1,10 +1,12 @@
 """Shared fixtures and graph generators for the test suite."""
 from __future__ import annotations
 
+import functools
 import random
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -55,6 +57,36 @@ def cycle_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     return graph_from_edges([("c", f"l{i}") for i in range(leaves)])
+
+
+@functools.lru_cache(maxsize=64)
+def neighbor_sets(g: Graph) -> tuple[frozenset[int], ...]:
+    """The neighbor set of every node of ``g``, from its CSR rows, built
+    once per graph. Each call hashes ``g`` and compares it with the cached
+    key, so an oracle reads it once per call, not once per lookup."""
+    flat, bounds = g.adjacency.indices.tolist(), g.adjacency.indptr.tolist()
+    return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def bfs_oracle(g: Graph, source: int) -> dict[int, int]:
+    """Distance map via adjacency-matrix powers, no queue involved;
+    unreachable nodes are absent."""
+    n = g.node_count
+    adj = np.zeros((n, n), dtype=np.int64)
+    for v, u in g.edges():
+        adj[v, u] = adj[u, v] = 1
+    dist = {source: 0}
+    reach = np.zeros(n, dtype=bool)
+    reach[source] = True
+    frontier = reach.copy()
+    for step in range(1, n):
+        frontier = (frontier.astype(np.int64) @ adj > 0) & ~reach
+        if not frontier.any():
+            break
+        for v in np.flatnonzero(frontier):
+            dist[int(v)] = step
+        reach |= frontier
+    return dist
 
 
 def cumulative_sets(trace) -> list[set[int]]:

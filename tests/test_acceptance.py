@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from netdiffuse.cli import main
-from netdiffuse.graph import bfs_distances, largest_connected_component, load_edge_list_path
+from netdiffuse.graph import largest_connected_component, load_edge_list_path
 from netdiffuse.harness import DATASET_NAMES, reproduce_paper
 from netdiffuse.metrics import evaluate_trace
 from netdiffuse.models import ModelParams, run_cns, run_ic, run_si
 from netdiffuse.ties import build_tie_strength_table
 
-from conftest import cumulative_sets, er_graph, trace_key
+from conftest import bfs_oracle, cumulative_sets, er_graph, trace_key
 from test_models import check_monotone_and_closed
 from test_ties import edge_terms, oracle_breakdown
 
@@ -84,7 +84,7 @@ def test_criterion_2_ic_p1_is_bfs(graphs):
     start = time.perf_counter()
     for g, seed in cases:
         trace = run_ic(g, seed)
-        dist = bfs_distances(g, g.index(seed))
+        dist = bfs_oracle(g, g.index(seed))
         sets = cumulative_sets(trace)
         for t in range(len(trace.iterations) + 1):
             ball = {v for v, d in dist.items() if d <= t}

@@ -21,7 +21,8 @@ from netdiffuse.models import cns_activate, run_cns
 from netdiffuse.ties import build_tie_strength_table, contributors
 
 from conftest import (
-    DATA_DIR, complete_graph, er_edges, random_graphs, star_graph, strong_pairs, traced_peak_mib
+    DATA_DIR, complete_graph, er_edges, neighbor_sets, random_graphs, star_graph, strong_pairs,
+    traced_peak_mib,
 )
 
 
@@ -30,14 +31,14 @@ class SetCascade:
 
     def __init__(self, g, table):
         self.g = g
+        self.nbrs = neighbor_sets(g)
         self.strong = strong_pairs(table)
         self._pulled = {}
 
     def pulled(self, v, u):
         """u and the contributors of the strong tie (v, u) adjacent to v or u."""
         if (v, u) not in self._pulled:
-            nv = self.g.neighbor_set(v)
-            nu = self.g.neighbor_set(u)
+            nv, nu = self.nbrs[v], self.nbrs[u]
             members = contributors(self.g, v, u)
             self._pulled[(v, u)] = {u} | {z for z in members if z in nv or z in nu}
         return self._pulled[(v, u)]
@@ -46,7 +47,7 @@ class SetCascade:
         """What ``v`` activates in one round, minus the active set."""
         strong = self.strong
         targets = set()
-        for u in self.g.neighbors_of(v):
+        for u in self.nbrs[v]:
             if (v, u) in strong:
                 targets |= self.pulled(v, u)
             if u not in active and (u, v) in strong:
@@ -224,19 +225,21 @@ class TestRestrictionIdentity:
 
     @staticmethod
     def restricted(g, v, u):
-        nv, nu = g.neighbor_set(v), g.neighbor_set(u)
+        nbrs = neighbor_sets(g)
+        nv, nu = nbrs[v], nbrs[u]
         common = nv & nu
         out = set(common)
         for w in common:
-            out |= g.neighbor_set(w) & (nv | nu)
+            out |= nbrs[w] & (nv | nu)
         return out - {v, u}
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(random_graphs(), graphs_with_leaves()))
     def test_identity(self, g):
+        nbrs = neighbor_sets(g)
         for a, b in g.edges():
             for v, u in ((a, b), (b, a)):
-                nvu = g.neighbor_set(v) | g.neighbor_set(u)
+                nvu = nbrs[v] | nbrs[u]
                 filtered = contributors(g, v, u) & nvu
                 assert filtered == self.restricted(g, v, u)
 

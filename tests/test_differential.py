@@ -205,7 +205,9 @@ class TestLoader:
         want = oracle_graph_from_edges(pairs)
         assert g.labels == want.labels
         assert list(g.edges()) == want.edges()
-        assert [g.neighbors_of(v) for v in range(g.node_count)] == list(want.neighbors)
+        indptr, indices = g.adjacency
+        rows = [tuple(indices[a:b].tolist()) for a, b in zip(indptr[:-1], indptr[1:])]
+        assert rows == list(want.neighbors)
 
 
 @st.composite

@@ -30,8 +30,6 @@ from netdiffuse.graph import (
     Graph,
     all_pairs_distances,
     average_degree,
-    bfs_distances,
-    connected_components,
     distance_summary,
     graph_from_edges,
     graph_from_text,
@@ -45,28 +43,9 @@ from netdiffuse.metrics import evaluate_trace
 from netdiffuse.models import ModelParams, run_ic
 
 from conftest import (
-    complete_graph, cycle_graph, er_graph, path_graph, random_graphs, traced_peak_mib
+    bfs_oracle, complete_graph, cycle_graph, er_graph, neighbor_sets, path_graph,
+    random_graphs, traced_peak_mib,
 )
-
-
-def bfs_oracle(g, source):
-    """Distance map via adjacency-matrix powers, no queue involved."""
-    n = g.node_count
-    adj = np.zeros((n, n), dtype=np.int64)
-    for v, u in g.edges():
-        adj[v, u] = adj[u, v] = 1
-    dist = {source: 0}
-    reach = np.zeros(n, dtype=bool)
-    reach[source] = True
-    frontier = reach.copy()
-    for step in range(1, n):
-        frontier = (frontier.astype(np.int64) @ adj > 0) & ~reach
-        if not frontier.any():
-            break
-        for v in np.flatnonzero(frontier):
-            dist[int(v)] = step
-        reach |= frontier
-    return dist
 
 
 def distance_summary_oracle(g):
@@ -143,14 +122,15 @@ class TestLoading:
         assert karate.edge_count == 78
 
     def test_labels_and_csr_only(self, data_dir):
-        # Loading, components and induced graphs build no Python rows or
-        # label map; those views appear on first use.
+        # Loading, components and induced graphs build no label map or bit
+        # rows; those two views, the only ones, appear on first use.
         assert [f.name for f in dataclasses.fields(Graph)] == ["labels", "adjacency"]
         g = largest_connected_component(load_edge_list_path(data_dir / "polblogs.txt"))
         induced_subgraph(g, range(0, g.node_count, 2))
         assert not set(vars(g)) - {"labels", "adjacency"}
-        assert g.neighbors_of(1) == tuple(sorted(g.neighbor_set(1)))
-        assert {"_neighbor_rows", "_neighbor_sets"} <= set(vars(g))
+        g.index(g.label(1))
+        g.bits
+        assert set(vars(g)) == {"labels", "adjacency", "_index_of", "bits"}
 
 
 class TestSerialize:
@@ -184,12 +164,6 @@ class TestSerialize:
 
 
 class TestTraversal:
-    @settings(max_examples=60, deadline=None)
-    @given(random_graphs())
-    def test_bfs_matches_matrix_powers(self, g):
-        src = 0
-        assert bfs_distances(g, src) == bfs_oracle(g, src)
-
     @settings(max_examples=40, deadline=None)
     @given(random_graphs(max_nodes=14))
     def test_all_pairs_matches_floyd_warshall(self, g):
@@ -201,12 +175,6 @@ class TestTraversal:
                     assert math.isinf(got[i][j])
                 else:
                     assert got[i][j] == want[i][j]
-
-    def test_unreachable_absent(self):
-        g = graph_from_text("a b\nc d")
-        d = bfs_distances(g, g.index("a"))
-        assert g.index("c") not in d
-        assert d[g.index("b")] == 1
 
 
 def components_oracle(g):
@@ -249,7 +217,6 @@ class TestComponents:
     @given(graphs_with_isolates())
     def test_label_propagation_matches_bfs_oracle(self, g):
         want = components_oracle(g)
-        assert connected_components(g) == want
         lcc = largest_connected_component(g)
         # max keeps the first largest: the one holding the smallest index.
         assert lcc == induced_subgraph(g, max(want, key=len))
@@ -264,7 +231,6 @@ class TestComponents:
         pairs = [(str(v), str(v)) for v in range(300)]
         pairs += [(str(a), str(b)) for a, b in zip(order, order[1:]) if b != order[150]]
         g = graph_from_edges(pairs)
-        assert connected_components(g) == components_oracle(g)
         assert largest_connected_component(g) == induced_subgraph(
             g, max(components_oracle(g), key=len)
         )
@@ -272,12 +238,13 @@ class TestComponents:
     def test_equal_sizes_smallest_index_wins(self):
         pairs = [(x, x) for x in "abcdef"] + [("b", "c"), ("a", "d"), ("e", "f")]
         g = graph_from_edges(pairs)
-        assert connected_components(g) == [[0, 3], [1, 2], [4, 5]]
-        assert largest_connected_component(g).labels == ("a", "d")
+        assert components_oracle(g) == [[0, 3], [1, 2], [4, 5]]
+        lcc = largest_connected_component(g)
+        assert lcc == induced_subgraph(g, [0, 3])
+        assert lcc.labels == ("a", "d")
 
     def test_single_isolated_node_is_connected(self):
         g = graph_from_edges([("a", "a")])
-        assert connected_components(g) == [[0]]
         assert largest_connected_component(g) is g
 
     def test_two_triangles_tie_break(self):
@@ -302,22 +269,10 @@ class TestComponents:
     @settings(max_examples=50, deadline=None)
     @given(random_graphs())
     def test_equals_induced_subgraph(self, g):
-        components = connected_components(g)
+        components = components_oracle(g)
         lcc = largest_connected_component(g)
         assert lcc == induced_subgraph(g, max(components, key=len))
         assert (lcc is g) == (len(components) == 1)
-
-    @settings(max_examples=50, deadline=None)
-    @given(random_graphs())
-    def test_components_partition_nodes(self, g):
-        comps = connected_components(g)
-        seen = [v for comp in comps for v in comp]
-        assert sorted(seen) == list(range(g.node_count))
-        for comp in comps:
-            members = set(comp)
-            for v in comp:
-                if len(comp) > 1:
-                    assert any(u in members for u in g.neighbors_of(v))
 
 
 class TestInducedSubgraph:
@@ -348,9 +303,10 @@ class TestInducedSubgraph:
 
 def independent_set(g):
     """Greedy set of pairwise non-adjacent nodes, in index order."""
+    nbrs = neighbor_sets(g)
     members = []
     for v in range(g.node_count):
-        if not any(g.has_edge(v, u) for u in members):
+        if not any(u in nbrs[v] for u in members):
             members.append(v)
     return members
 
@@ -465,8 +421,8 @@ class TestAdjacencyBits:
     def check(g):
         n = g.node_count
         dense = np.zeros((n, 64 * -(-n // 64)), dtype=bool)
-        for v in range(n):
-            dense[v, list(g.neighbors_of(v))] = True
+        for v, u in g.edges():
+            dense[v, u] = dense[u, v] = True
         bits = g.bits
         assert np.array_equal(bits, np.packbits(dense, axis=1, bitorder="little"))
         assert g.bits is bits
@@ -573,7 +529,8 @@ class TestWholeGraphMetrics:
         # avg degree = density * (n - 1), density counted pair by pair:
         # the same identity the horizon metrics are later held to
         n = g.node_count
-        adjacent = sum(g.has_edge(v, u) for v in range(n) for u in range(n) if v != u)
+        nbrs = neighbor_sets(g)
+        adjacent = sum(u in nbrs[v] for v in range(n) for u in range(n) if v != u)
         assert average_degree(g) == pytest.approx(adjacent / (n * (n - 1)) * (n - 1))
 
     @settings(max_examples=30, deadline=None)

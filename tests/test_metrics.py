@@ -28,16 +28,15 @@ from netdiffuse.models import (
     run_si,
 )
 
-from conftest import complete_graph, cumulative_sets, random_graphs
+from conftest import complete_graph, cumulative_sets, neighbor_sets, random_graphs
 
 
 def horizon_distance_oracle(g, members):
     """All finite pairwise distances inside the induced horizon, by a
     dict-and-queue BFS that shares nothing with the bit-packed CSR path."""
     members = sorted(members)
-    adj = {
-        v: [u for u in g.neighbors_of(v) if u in set(members)] for v in members
-    }
+    nbrs = neighbor_sets(g)
+    adj = {v: nbrs[v] & set(members) for v in members}
     out = []
     for src in members:
         dist = {src: 0}

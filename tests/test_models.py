@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdiffuse.errors import GraphError, InactiveNodeError, UnknownNodeError
-from netdiffuse.graph import bfs_distances, graph_from_text, load_edge_list_path
+from netdiffuse.graph import graph_from_text, load_edge_list_path
 from netdiffuse.models import (
     ModelParams,
     cns_activate,
@@ -18,9 +18,11 @@ from netdiffuse.models import (
 from netdiffuse.ties import build_tie_strength_table
 
 from conftest import (
+    bfs_oracle,
     complete_graph,
     cumulative_sets,
     cycle_graph,
+    neighbor_sets,
     random_graphs,
     star_graph,
     strong_pairs,
@@ -38,6 +40,7 @@ def check_monotone_and_closed(g, trace, same_round_ok=False):
     pair that pulled them in).
     """
     assert trace.graph is g
+    nbrs = neighbor_sets(g)
     seen = {trace.seed}
     counts = []
     for nodes in trace.iterations:
@@ -48,7 +51,7 @@ def check_monotone_and_closed(g, trace, same_round_ok=False):
         assert not (newly & seen)
         allowed = seen | newly if same_round_ok else seen
         for v in newly:
-            assert any(u in allowed and u != v for u in g.neighbors_of(v))
+            assert any(u in allowed and u != v for u in nbrs[v])
         seen |= newly
         counts.append(len(seen))
     assert counts == sorted(set(counts)), "coverage not strictly increasing"
@@ -70,6 +73,15 @@ class TestCnsActivate:
         table = build_tie_strength_table(g)
         with pytest.raises(InactiveNodeError):
             cns_activate(g, table, 0, {1})
+
+    # Past the end, and -1, which a label or CSR read would wrap to the
+    # last node; active or not, the index is rejected first.
+    @pytest.mark.parametrize("v, active", [(9, {0}), (9, {9}), (-1, {-1}), (-1, {0})])
+    def test_index_outside_graph_rejected(self, v, active):
+        g = graph_from_text("a b\nb c")
+        table = build_tie_strength_table(g)
+        with pytest.raises(UnknownNodeError, match=f"no node with index {v}$"):
+            cns_activate(g, table, v, active)
 
     def test_karate_first_step_reaches_partner(self, karate):
         table = build_tie_strength_table(karate)
@@ -175,7 +187,7 @@ class TestRunCns:
         check_monotone_and_closed(g, trace, same_round_ok=True)
         # contributor activation can jump past direct neighbors, but
         # never further than two hops per round
-        dist = bfs_distances(g, 0)
+        dist = bfs_oracle(g, 0)
         for t, active in enumerate(cumulative_sets(trace)):
             for v in active:
                 assert dist[v] <= 2 * t
@@ -205,7 +217,7 @@ class TestRunIc:
     def test_p1_equals_bfs_balls(self, g, src):
         src = src % g.node_count
         trace = run_ic(g, g.label(src))
-        dist = bfs_distances(g, src)
+        dist = bfs_oracle(g, src)
         horizon = len(trace.iterations)
         sets = cumulative_sets(trace)
         for t in range(horizon + 1):

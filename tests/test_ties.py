@@ -27,8 +27,8 @@ from netdiffuse.ties import (
 )
 
 from conftest import (
-    DATA_DIR, complete_graph, er_edges, random_graphs, star_graph, strong_pairs,
-    traced_peak_mib,
+    DATA_DIR, complete_graph, er_edges, neighbor_sets, random_graphs, star_graph,
+    strong_pairs, traced_peak_mib,
 )
 
 # sha256 of `netdiffuse tie-table` on each bundled edge list (whole file,
@@ -44,35 +44,59 @@ TIE_TABLE_SHA256 = {
 def oracle_breakdown(g, v, u):
     """Literal enumeration of the five terms with membership tests only.
 
-    Kept deliberately naive (scans every node, asks has_edge) so it
-    shares no machinery with the set-intersection implementation.
+    Kept deliberately naive (scans every node, looks each pair up in the
+    neighbor sets) so it shares no machinery with the block kernel.
     """
     n = g.node_count
-    common = [z for z in range(n) if g.has_edge(v, z) and g.has_edge(u, z)]
+    nbrs = neighbor_sets(g)
+    common = [z for z in range(n) if z in nbrs[v] and z in nbrs[u]]
     if not common:
-        rho = 1 if len(g.neighbors_of(v)) == 1 or len(g.neighbors_of(u)) == 1 else 0
+        rho = 1 if len(nbrs[v]) == 1 or len(nbrs[u]) == 1 else 0
         return (0, 0, 0, 0, 0, rho)
     term_cn = len(common)
     term_v_side = 0
     term_u_side = 0
     for z in common:
         for w in range(n):
-            if g.has_edge(v, w) and g.has_edge(z, w):
+            if w in nbrs[v] and w in nbrs[z]:
                 term_v_side += 1
-            if g.has_edge(u, w) and g.has_edge(z, w):
+            if w in nbrs[u] and w in nbrs[z]:
                 term_u_side += 1
     term_sigma = 0
     term_ww = 0
     for i in range(len(common)):
         for j in range(i + 1, len(common)):
             w, z = common[i], common[j]
-            if g.has_edge(w, z):
+            if z in nbrs[w]:
                 term_sigma += 1
                 for x in range(n):
-                    if g.has_edge(w, x) and g.has_edge(z, x):
+                    if x in nbrs[w] and x in nbrs[z]:
                         term_ww += 1
     rho = term_cn + term_v_side + term_u_side + term_sigma + term_ww
     return (term_cn, term_v_side, term_u_side, term_sigma, term_ww, rho)
+
+
+def contributors_oracle(g, v, u):
+    """Contributors of (v, u) by membership alone: every node x other
+    than v and u that lies in C = N(v) & N(u), in N(w) & (N(v) | N(u))
+    for some w in C, or in N(w) & N(z) for some connected pair w, z of C.
+    """
+    n = g.node_count
+    nbrs = neighbor_sets(g)
+    common = [w for w in range(n) if w in nbrs[v] and w in nbrs[u]]
+    pairs = [(w, z) for w in common for z in common if w < z and z in nbrs[w]]
+    members = set()
+    for x in range(n):
+        if x in (v, u):
+            continue
+        near = x in nbrs[v] or x in nbrs[u]
+        if (
+            x in common
+            or any(near and x in nbrs[w] for w in common)
+            or any(x in nbrs[w] and x in nbrs[z] for w, z in pairs)
+        ):
+            members.add(x)
+    return members
 
 
 def edge_terms(table, v, u):
@@ -117,24 +141,20 @@ class TestBreakdown:
     def test_every_index_pair(self):
         # Ends of rows, an empty row (isolated d), self pairs and indices
         # outside the graph: an edge is found, anything else rejected.
+        # ``contributors`` rejects exactly the pairs ``table.edge`` does.
         g = graph_from_text("a b\nb c\nc a\nd d\nc e\n")
         table = build_tie_strength_table(g)
+        edges = {*g.edges(), *((u, v) for v, u in g.edges())}
         for v in range(-1, g.node_count + 1):
             for u in range(-1, g.node_count + 1):
-                if g.has_node(v) and g.has_node(u) and g.has_edge(v, u):
+                if (v, u) in edges:
                     assert edge_terms(table, v, u) == oracle_breakdown(g, v, u)
+                    assert contributors(g, v, u) == contributors_oracle(g, v, u)
                 else:
                     with pytest.raises(NotAnEdgeError):
                         table.edge(v, u)
-
-    def test_lookups_build_no_python_rows(self):
-        g = load_edge_list_path(DATA_DIR / "lesmis.txt")
-        table = build_tie_strength_table(g)
-        for v, u in g.edges():
-            table.terms[table.edge(v, u)]
-            table.terms[table.edge(u, v)]
-            table.phi[table.edge(v, u)]
-        assert not {"_neighbor_rows", "_neighbor_sets"} & set(vars(g))
+                    with pytest.raises(NotAnEdgeError):
+                        contributors(g, v, u)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graphs())
@@ -215,9 +235,8 @@ def mixed_shapes(draw):
 
 def assert_matches_oracle(g):
     table = build_tie_strength_table(g)
-    for v in range(g.node_count):
-        for u in g.neighbors_of(v):
-            assert edge_terms(table, v, u) == oracle_breakdown(g, v, u), (v, u)
+    for v, u in zip(g.adjacency.sources().tolist(), g.adjacency.indices.tolist()):
+        assert edge_terms(table, v, u) == oracle_breakdown(g, v, u), (v, u)
 
 
 def greedy_chunks(degree, limit):
@@ -243,14 +262,14 @@ class TestBlockKernel:
         g = heavy_tailed_graph(220, [190, 70, 45], random.Random(5))
         chunks = degree_chunks(g)
         assert len(chunks) >= 4
-        assert len(g.neighbors_of(chunks[-1][0])) ** 2 > ties._BLOCK_CELLS
+        assert len(neighbor_sets(g)[chunks[-1][0]]) ** 2 > ties._BLOCK_CELLS
         assert_matches_oracle(g)
 
     @pytest.mark.parametrize("chords", [0, 40])
     def test_star_300_leaves(self, chords):
         g = star_with_chords(300, chords)
         hub = g.index("c")
-        assert len(g.neighbors_of(hub)) ** 2 > ties._BLOCK_CELLS
+        assert len(neighbor_sets(g)[hub]) ** 2 > ties._BLOCK_CELLS
         assert degree_chunks(g)[-1] == [hub]
         assert_matches_oracle(g)
 
@@ -337,6 +356,21 @@ class TestContributors:
         for v, u in strong_pairs(table):
             assert table.contributor_members(v, u) == contributors(karate, v, u)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(random_graphs(), mixed_shapes()))
+    def test_matches_membership_oracle(self, g):
+        for a, b in g.edges():
+            for v, u in ((a, b), (b, a)):
+                assert contributors(g, v, u) == contributors_oracle(g, v, u), (v, u)
+
+    @pytest.mark.parametrize("name", ["karate", "lesmis"])
+    def test_dataset_strong_ties_match_membership_oracle(self, name):
+        g = load_edge_list_path(DATA_DIR / f"{name}.txt")
+        strong = strong_pairs(build_tie_strength_table(g))
+        assert strong
+        for v, u in strong:
+            assert contributors(g, v, u) == contributors_oracle(g, v, u), (v, u)
+
 
 class TestTieStrength:
     def test_k3_all_ones(self):
@@ -351,7 +385,7 @@ class TestTieStrength:
         g = star_graph(3)
         table = build_tie_strength_table(g)
         c = g.index("c")
-        for leaf in g.neighbors_of(c):
+        for leaf in neighbor_sets(g)[c]:
             assert table.phi[table.edge(c, leaf)] == 1.0
             assert table.phi[table.edge(leaf, c)] == 1.0
 
@@ -387,20 +421,21 @@ class TestTieStrength:
     def test_range_and_maximality(self, g):
         table = build_tie_strength_table(g)
         strong = strong_pairs(table)
+        nbrs = neighbor_sets(g)
         for v in range(g.node_count):
-            row = [edge_terms(table, v, u)[-1] for u in g.neighbors_of(v)]
+            row = [edge_terms(table, v, u)[-1] for u in nbrs[v]]
             if not row:
                 continue
             row_max = max(row)
             assert table.row_max[v] == row_max
-            for u in g.neighbors_of(v):
+            for u in nbrs[v]:
                 phi = table.phi[table.edge(v, u)]
                 assert 0.0 <= phi <= 1.0
                 is_strong = (v, u) in strong
                 rho = edge_terms(table, v, u)[-1]
                 assert is_strong == (rho == row_max and row_max > 0)
             if row_max > 0:
-                assert any((v, u) in strong for u in g.neighbors_of(v))
+                assert any((v, u) in strong for u in nbrs[v])
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs())
@@ -409,14 +444,15 @@ class TestTieStrength:
         # positive rescaling of a row must select the same neighbors
         table = build_tie_strength_table(g)
         strong = strong_pairs(table)
+        nbrs = neighbor_sets(g)
         for v in range(g.node_count):
             if table.row_max[v] == 0:
                 continue
-            scaled = {u: 7 * edge_terms(table, v, u)[-1] for u in g.neighbors_of(v)}
+            scaled = {u: 7 * edge_terms(table, v, u)[-1] for u in nbrs[v]}
             top = max(scaled.values())
             winners = {u for u, s in scaled.items() if s == top}
             assert winners == {
-                u for u in g.neighbors_of(v) if (v, u) in strong
+                u for u in nbrs[v] if (v, u) in strong
             }
 
 
