@@ -37,6 +37,7 @@ __all__ = [
     "average_degree",
 ]
 
+_TEXT_SLICE = 1 << 14  # characters per slice of the loader, at least
 _GATHER_WORDS = 1 << 18  # uint64 words per neighbor gather of the all-sources BFS (2 MiB)
 
 
@@ -225,16 +226,30 @@ def load_edge_list(source: IO[bytes] | IO[str]) -> Graph:
 
 
 def _edge_tokens(text: str) -> Iterator[str]:
-    """The two tokens of each edge line of ``text``, line by line."""
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        fields = line.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        if len(fields) != 2:
-            raise EdgeListParseError(
-                f"expected two tokens, got {len(fields)}: {line.strip()!r}", line_number
-            )
-        yield from fields
+    """The two tokens of each edge line of ``text``, line by line.
+
+    The lines are ``text.splitlines()``, taken a slice of text at a time:
+    each slice holds at least ``_TEXT_SLICE`` characters and ends just
+    after a ``\n`` (or at the end of the text). A ``\n`` always ends a
+    line and a ``\r\n`` pair never straddles such a cut, so the slices
+    split into exactly the lines of the whole text, and line numbers run
+    on from slice to slice. No list of every line is built.
+    """
+    line_number = 0
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _TEXT_SLICE - 1) + 1 or len(text)
+        for line in text[start:stop].splitlines():
+            line_number += 1
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) != 2:
+                raise EdgeListParseError(
+                    f"expected two tokens, got {len(fields)}: {line.strip()!r}", line_number
+                )
+            yield from fields
+        start = stop
 
 
 def load_edge_list_path(path: str | Path) -> Graph:

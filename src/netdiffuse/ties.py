@@ -24,20 +24,22 @@ of its ends' packed adjacency rows, taken over bounded slices of edges.
 One dense matrix ``marked`` holds ``cn + 1`` on every edge and 0
 elsewhere, so ``B = marked > 0`` and ``W = marked - B`` on any block; its
 extra row and column n belong to a padding node without edges. Its
-dtype is the smallest unsigned integer type that holds n, which holds
-``cn + 1 <= n - 1`` exactly: uint16 on polblogs, half the bytes of
-float32. The nodes, sorted by degree, are cut into chunks of at most
+dtype is the smallest unsigned integer type that holds the largest
+``cn + 1``: uint8 on polblogs, whose largest is 75, half the bytes of
+uint16. The nodes, sorted by degree, are cut into chunks of at most
 ``_BLOCK_CELLS`` block cells (m nodes of largest degree D hold m * D**2);
 a node whose block alone is larger is a chunk by itself. A chunk pads
 every neighbor list to width D with node n, gathers its blocks with one
-index and evaluates the identities as stacked products in float64;
-padding adds only zeros. The products are exact while every count stays
-below 2**53. An edge-wise kernel over (edge, common neighbor) incidences
-gives the same terms but was measured 6x slower on polblogs, so the
-blocks stay per node. Every score lives in edge-indexed arrays in
-``Graph.adjacency`` order: position k is the ordered edge (v, indices[k])
-for the row v that holds k, so rows ascend by v and, within a row, by
-neighbor.
+index and evaluates the identities as stacked products; padding adds
+only zeros. Every product and row sum of a chunk is an integer of at
+most D**2 * max cn, so the chunk runs in float32 while that bound stays
+below 2**24 (every chunk of polblogs) and in float64, exact below
+2**53, above it; ``terms`` stays int64. An edge-wise kernel over (edge,
+common neighbor) incidences gives the same terms but was measured 6x
+slower on polblogs, so the blocks stay per node. Every score lives in
+edge-indexed arrays in ``Graph.adjacency`` order: position k is the
+ordered edge (v, indices[k]) for the row v that holds k, so rows ascend
+by v and, within a row, by neighbor.
 
 Tie strength ``phi`` normalizes ``rho`` by the maximum score on the
 source node's row, making it asymmetric; the ordered pairs that reach
@@ -53,6 +55,14 @@ of (v, u) that either endpoint is adjacent to. The contributors found
 through a connected pair (w, z) of common neighbors lie in N(w), so that
 restriction leaves the pair-overlap term nothing to add, and a bitwise
 OR over the packed rows N(w) of each tie's common neighbors computes it.
+The rows are ORed into packed n-by-n/8 bit rows a slice of strong ties
+at a time, and unpacked into the CSR a block of rows at a time, so no
+(ties x n) unpacking, gather of all N(w) or n-by-n matrix exists whole.
+
+Both builds keep every temporary bounded. When glibc frees a block of
+128 KiB or more it raises its mmap threshold to that size, so later
+arrays of that size come from the heap and stay resident: one large
+temporary lifts the process's peak memory for the rest of the run.
 """
 from __future__ import annotations
 
@@ -89,6 +99,13 @@ TIE_TABLE_COLUMNS = (
 _RHO = 5  # column of rho in TieStrengthTable.terms
 _EDGE_SLICE = 1024  # edges per popcount slice of the common-neighbor counts
 _BLOCK_CELLS = 1 << 15  # block cells per chunk of the term kernel
+_FLOAT32_EXACT = 1 << 24  # float32 holds every integer below this exactly
+_UNPACK_CELLS = 1 << 16  # bytes per unpacked slice of the reach build
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """Packed bit rows of n nodes as bool rows."""
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def _edge_index(adjacency: Adjacency, v: int, u: int) -> int:
@@ -150,31 +167,39 @@ class TieStrengthTable:
         first use from the graph's packed adjacency rows.
         """
         n = self.graph.node_count
-        sources, targets = self.graph.adjacency.sources(), self.graph.adjacency.indices
         rows = self.graph.bits
-        source, target = sources[self.strong], targets[self.strong]
-        common = rows[source] & rows[target]
-        # The common neighbors w of each strong tie, tie by tie.
-        tie, w = np.nonzero(np.unpackbits(common, axis=1, count=n, bitorder="little"))
-        counts = np.bincount(tie, minlength=len(source))
-        # reduceat gives an empty segment its start element: skip those ties.
-        has = counts > 0
-        span = np.zeros_like(common)
-        if has.any():
-            starts = (np.cumsum(counts) - counts)[has]
-            span[has] = np.bitwise_or.reduceat(rows[w], starts, axis=0)
-        span &= rows[source] | rows[target]
-        span |= common
+        sources = self.graph.adjacency.sources()[self.strong]
+        targets = self.graph.adjacency.indices[self.strong]
         packed = np.zeros_like(rows)
-        np.bitwise_or.at(packed, source, span)
-        reach = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
-        # A span can hold its own tie's ends, as neighbors of some w: the
-        # target belongs to the row anyway, the source never does.
-        reach[source, target] = reach[target, source] = True
-        np.fill_diagonal(reach, False)
-        keys = np.flatnonzero(reach)
-        del reach  # the n-by-n rows go before the CSR is built
-        return Adjacency.from_keys(keys, n)
+        # Ties per slice and rows per block: each unpacks to at most
+        # _UNPACK_CELLS bytes.
+        step = max(1, _UNPACK_CELLS // max(n, 1))
+        for lo in range(0, len(sources), step):
+            source, target = sources[lo : lo + step], targets[lo : lo + step]
+            common = rows[source] & rows[target]
+            # The common neighbors w of each strong tie, tie by tie.
+            tie, w = np.divmod(np.flatnonzero(_unpack(common, n)), n)
+            counts = np.bincount(tie, minlength=len(source))
+            # reduceat gives an empty segment its start element: skip those ties.
+            has = counts > 0
+            span = np.zeros_like(common)
+            if has.any():
+                starts = (np.cumsum(counts) - counts)[has]
+                span[has] = np.bitwise_or.reduceat(rows[w], starts, axis=0)
+            span &= rows[source] | rows[target]
+            span |= common
+            np.bitwise_or.at(packed, source, span)
+        # Each strong tie and its reverse. A span can hold its own tie's
+        # source, as a neighbor of some w: no row keeps its own node.
+        for v, u in ((sources, targets), (targets, sources)):
+            np.bitwise_or.at(packed, (v, u >> 3), (1 << (u & 7)).astype(np.uint8))
+        nodes = np.arange(n)
+        packed[nodes, nodes >> 3] &= ~(1 << (nodes & 7)).astype(np.uint8)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(packed.view(np.uint64)).sum(axis=1), out=indptr[1:])
+        blocks = range(0, n, step)
+        indices = [np.flatnonzero(_unpack(packed[lo : lo + step], n)) % n for lo in blocks]
+        return Adjacency(indptr, np.concatenate(indices) if indices else indptr[:0])
 
     def edge(self, v: int, u: int) -> int:
         """Index of the ordered edge (v, u) in the edge arrays; raises
@@ -183,6 +208,21 @@ class TieStrengthTable:
 
     def contributor_members(self, v: int, u: int) -> frozenset[int]:
         return contributors(self.graph, v, u)
+
+
+def _marked_dtype(top: int) -> np.dtype:
+    """The smallest unsigned type that holds ``cn + 1`` when no edge has
+    more than ``top`` common neighbors."""
+    return np.min_scalar_type(top + 1)
+
+
+def _block_dtype(width: int, top: int) -> type:
+    """float32 if the block products of a chunk are exact in it, else float64.
+
+    Every product and row sum of a block of width ``width`` is an integer
+    of at most ``width**2 * top``, where ``top`` bounds ``cn``.
+    """
+    return np.float32 if width * width * top < _FLOAT32_EXACT else np.float64
 
 
 def _degree_chunks(degree: np.ndarray) -> Iterator[np.ndarray]:
@@ -213,19 +253,18 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
     sources = g.adjacency.sources()
     n = g.node_count
     words = g.bits.view(np.uint64)
-    cn = np.empty(len(indices), dtype=np.int64)
+    terms = np.zeros((len(indices), 6), dtype=np.int64)
+    cn = terms[:, 0]
     for lo in range(0, len(indices), _EDGE_SLICE):
         edges = slice(lo, lo + _EDGE_SLICE)
         common = words[sources[edges]] & words[indices[edges]]
         cn[edges] = np.bitwise_count(common).sum(axis=1)
+    top = int(cn.max(initial=0))
     # cn + 1 on every edge, 0 elsewhere; row and column n pad the blocks.
-    # cn + 1 <= n - 1, so the smallest unsigned type that holds n is exact.
-    marked = np.zeros((n + 1, n + 1), dtype=np.min_scalar_type(n))
+    marked = np.zeros((n + 1, n + 1), dtype=_marked_dtype(top))
     marked[sources, indices] = cn + 1
     flat = marked.ravel()
 
-    terms = np.zeros((len(indices), 6), dtype=np.int64)
-    terms[:, 0] = cn
     degree = np.diff(indptr)
     for chunk in _degree_chunks(degree):
         width = int(degree[chunk[-1]])
@@ -236,7 +275,7 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
         nbrs[filled] = indices[position]
         # x[k, i, j] = marked[nbrs[k, i], nbrs[k, j]], by flat index.
         x = flat.take(nbrs[:, :, None] * (n + 1) + nbrs[:, None, :])
-        b = (x > 0).astype(np.float64)
+        b = (x > 0).astype(_block_dtype(width, top))
         w = x - b
         bb = b @ b
         block_terms = np.stack(

@@ -9,12 +9,14 @@ with the bitset kernel behind ``TieStrengthTable.reach``.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netdiffuse import ties
 from netdiffuse.graph import Adjacency, graph_from_edges, load_edge_list_path
 from netdiffuse.harness import DATASET_NAMES
 from netdiffuse.models import cns_activate, run_cns
@@ -124,10 +126,13 @@ cascade_graphs = st.one_of(
 
 class TestReachRows:
     @settings(max_examples=80, deadline=None)
-    @given(cascade_graphs)
-    def test_rows_match_single_node_activation(self, g):
+    @given(cascade_graphs, st.sampled_from([1, 40, 1 << 16]))
+    def test_rows_match_single_node_activation(self, g, cells):
+        # Small unpack bounds build the reach a tie and a row at a time,
+        # or a few at a time.
         table = build_tie_strength_table(g)
-        assert_reach_rows_match(g, table, SetCascade(g, table))
+        with mock.patch.object(ties, "_UNPACK_CELLS", cells):
+            assert_reach_rows_match(g, table, SetCascade(g, table))
 
     def test_isolated_node_reaches_nothing(self):
         g = graph_from_edges([("a", "a"), ("b", "c")])  # a is isolated
@@ -152,11 +157,19 @@ class TestReachRows:
         assert "reach" in vars(table)
 
     def test_polblogs_memory(self):
-        # Measured 3.1 MiB (3.8 with the n-by-n rows alive during the CSR
-        # build); the tie build itself peaks at 7.4 MiB.
+        # Measured 1.5 MiB; 3.1 with the (ties x n) unpacking, the gather
+        # of every common neighbor's row and the n-by-n rows built whole.
         table = build_tie_strength_table(load_edge_list_path(DATA_DIR / "polblogs.txt"))
         _, peak = traced_peak_mib(lambda: table.reach)
-        assert peak < 4.5
+        assert peak < 1.8
+
+    def test_polblogs_cascade_memory(self):
+        # Tie build, reach and cascade together from a freshly loaded
+        # graph: measured 5.2 MiB, 7.5 before the reach and tie kernel
+        # kept their temporaries bounded.
+        g = load_edge_list_path(DATA_DIR / "polblogs.txt")
+        _, peak = traced_peak_mib(lambda: run_cns(g, "693"))
+        assert peak < 6.0
 
     def test_activate_reads_reach_minus_active(self, karate):
         table = build_tie_strength_table(karate)

@@ -133,6 +133,54 @@ class TestLoading:
         assert set(vars(g)) == {"labels", "adjacency", "_index_of", "bits"}
 
 
+# Every line break of str.splitlines.
+LINE_BREAKS = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+
+
+def edge_tokens_oracle(text):
+    """The tokens of the edge lines of one ``text.splitlines()``, up to the
+    first malformed line, and that line's number (None if there is none)."""
+    tokens = []
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 2:
+            return tokens, line_number
+        tokens += fields
+    return tokens, None
+
+
+class TestLineSlices:
+    """The loader splits its text a slice at a time; with slices of 1 to 8
+    characters every line break lands next to some cut."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["a", "b", "é", "#", "#c", " ", "\t", "a b", "x y z"]),
+                st.sampled_from(LINE_BREAKS),
+            ),
+            max_size=40,
+        ).map("".join),
+        st.integers(1, 8),
+    )
+    def test_matches_one_shot_splitlines(self, text, size):
+        expected, bad_line = edge_tokens_oracle(text)
+        tokens = []
+        with mock.patch.object(graph_module, "_TEXT_SLICE", size):
+            if bad_line is None:
+                tokens.extend(graph_module._edge_tokens(text))
+            else:
+                with pytest.raises(EdgeListParseError) as exc:
+                    tokens.extend(graph_module._edge_tokens(text))
+                assert exc.value.line_number == bad_line
+        assert tokens == expected
+
+
 class TestSerialize:
     def test_format(self):
         g = graph_from_text("b a\nc b")
@@ -479,12 +527,13 @@ def test_commands_do_not_import_numpy_ma(data_dir, tmp_path):
 
 class TestMemoryBudget:
     """Peak traced memory of the polblogs graph kernels. Measured: the
-    loader 1.7 MiB (4.6 with a list of every token), the whole-graph
-    BFS 2.4 MiB (5.9 with one gather of all word rows)."""
+    loader 1.4 MiB (1.7 with a list of every line, 4.6 with a list of
+    every token), the whole-graph BFS 2.4 MiB (5.9 with one gather of all
+    word rows)."""
 
     def test_loader(self, data_dir):
         _, peak = traced_peak_mib(lambda: load_edge_list_path(data_dir / "polblogs.txt"))
-        assert peak < 2.5
+        assert peak < 1.6
 
     def test_distance_summary(self, data_dir):
         g = load_edge_list_path(data_dir / "polblogs.txt")

@@ -278,25 +278,38 @@ class TestBlockKernel:
         edges = er_edges(40, 0.15, rng)
         assert_matches_oracle(with_isolated_and_leaves(edges, 5, 12, rng))
 
-    @pytest.mark.parametrize("n", [255, 256, 257])
+    @pytest.mark.parametrize("n", [255, 256, 257, 258])
     def test_complete_graphs_around_uint8(self, n):
-        # cn + 1 = n - 1 on every edge: 254, 255 and 256 around the uint8
-        # maximum. All ordered edges of K_n are alike: one oracle call.
+        # cn + 1 = n - 1 on every edge: 254 to 257 around the uint8
+        # maximum. Each block has width n - 1, so its bound (n - 1)**2 *
+        # (n - 2) first passes 2**24 at K258. All ordered edges of K_n are
+        # alike: one oracle call.
         g = complete_graph(n)
         table = build_tie_strength_table(g)
         assert (table.terms == oracle_breakdown(g, 0, 1)).all()
+        top = int(table.terms[:, 0].max())
+        assert ties._marked_dtype(top) == (np.uint8 if n <= 256 else np.uint16)
+        assert ties._block_dtype(n - 1, top) == (np.float32 if n <= 257 else np.float64)
 
     def test_polblogs_memory(self):
-        # Measured 7.4 MiB; 10.4 with ``cn + 1`` held in float32.
+        # Measured 5.1 MiB; 7.4 with ``marked`` in uint16 and the blocks
+        # in float64, 10.4 with ``cn + 1`` held in float32.
         g = load_edge_list_path(DATA_DIR / "polblogs.txt")
         _, peak = traced_peak_mib(lambda: build_tie_strength_table(g))
-        assert peak < 9.0
+        assert peak < 6.0
 
     @settings(max_examples=120, deadline=None)
-    @given(mixed_shapes(), st.sampled_from([1, 4, 30, 200, 1 << 15]))
-    def test_mixed_shapes(self, g, limit):
-        # Small limits cut even small graphs into many chunks.
-        with mock.patch.object(ties, "_BLOCK_CELLS", limit):
+    @given(
+        mixed_shapes(),
+        st.sampled_from([1, 4, 30, 200, 1 << 15]),
+        st.sampled_from([1, 40, 1 << 24]),
+    )
+    def test_mixed_shapes(self, g, limit, exact):
+        # Small limits cut even small graphs into many chunks; small exact
+        # bounds send some or all chunks to float64.
+        with mock.patch.object(ties, "_BLOCK_CELLS", limit), mock.patch.object(
+            ties, "_FLOAT32_EXACT", exact
+        ):
             assert_matches_oracle(g)
 
     @settings(max_examples=100, deadline=None)
