@@ -18,6 +18,14 @@ and targets ascend by internal index, so the draw yields the same
 numbers as one scalar draw per attempt in that order. Streams derive
 from (rng_seed, run_index), so repetitions of one experiment are
 independent but individually reproducible.
+
+Run k draws from PCG64 (XSL-RR 128/64) seeded by
+``SeedSequence([rng_seed mod 2**64, k])``, computed here by ``Pcg64``
+rather than by ``numpy.random``, whose import maps OpenSSL's libcrypto
+(through ``secrets``) and costs about 6 MiB of resident memory. Tests
+pin every uniform bit for bit to NumPy's ``Generator.random`` on the
+same seeds; keeping the stream here also holds those numbers fixed
+should a NumPy release change its ``Generator`` streams.
 """
 from __future__ import annotations
 
@@ -96,7 +104,7 @@ def cns_activate(
 
 def _attempt(
     adjacency: Adjacency, actors: np.ndarray, active: np.ndarray,
-    rng: np.random.Generator | None, p: float,
+    rng: Pcg64 | None, p: float,
 ) -> np.ndarray:
     """The inactive nodes ``actors`` activate along their rows, ascending;
     with a stream each attempt succeeds with probability p, else always."""
@@ -110,7 +118,7 @@ def _attempt(
 
 def _cascade(
     g: Graph, s: int, adjacency: Adjacency, max_iterations: int | None,
-    rng: np.random.Generator | None = None, p: float = 1.0,
+    rng: Pcg64 | None = None, p: float = 1.0,
 ) -> DiffusionTrace:
     """A cascade from ``s`` along the arcs of ``adjacency`` in which only
     the last round's activations act, each attempting its row once."""
@@ -144,10 +152,87 @@ def run_cns(
     return _cascade(g, s, _reach(g, table), max_iterations)
 
 
-def _stream(rng_seed: int, run_index: int) -> np.random.Generator:
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(entropy: tuple[int, ...]) -> list[int]:
+    """NumPy's ``SeedSequence(entropy).generate_state(4, np.uint64)``:
+    the entropy ints as little-endian 32-bit words, hashed into a pool of
+    four words, then four 64-bit words drawn off the pool. The constants
+    are NumPy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B and MULT_B."""
+    if any(n < 0 for n in entropy):
+        raise ValueError(f"entropy must be non-negative: {entropy}")
+    words = [(n >> shift) & _MASK32 for n in entropy
+             for shift in range(0, max(n.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class Pcg64:
+    """``np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+    entropy))).random`` without numpy.random: the same float64 uniforms,
+    bit for bit. Raises ValueError for negative entropy, as NumPy does.
+
+    PCG64 is a 128-bit LCG with the XSL-RR output function (M. E.
+    O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
+    Good Algorithms for Random Number Generation", HMC-CS-2014-0905). The
+    LCG steps run as Python ints; the output function runs in numpy over
+    the whole draw."""
+
+    def __init__(self, *entropy: int) -> None:
+        s = _seed_state(entropy)
+        self._inc = ((s[2] << 64 | s[3]) << 1 | 1) & _MASK128
+        # From state 0: step (which leaves inc), add the seed, step.
+        self._state = ((self._inc + (s[0] << 64 | s[1])) * _PCG_MULT + self._inc) & _MASK128
+
+    def random(self, size: int) -> np.ndarray:
+        """The next ``size`` uniforms in [0, 1) as a float64 array."""
+        state, inc = self._state, self._inc
+        parts = []
+        for _ in range(size):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            parts.append(state.to_bytes(16, "little"))
+        self._state = state
+        # XSL-RR: rotate hi ^ lo right by the top 6 bits of the state.
+        words = np.frombuffer(b"".join(parts), "<u8")
+        lo, hi = words[0::2], words[1::2]
+        xored, rot = hi ^ lo, hi >> 58
+        bits = xored >> rot | xored << ((64 - rot) & 63)
+        return (bits >> 11) * 2.0**-53
+
+
+def _stream(rng_seed: int, run_index: int) -> Pcg64:
     # Mask into uint64 so negative seeds stay legal and deterministic.
-    seq = np.random.SeedSequence([rng_seed & (2**64 - 1), run_index])
-    return np.random.Generator(np.random.PCG64(seq))
+    return Pcg64(rng_seed & (2**64 - 1), run_index)
 
 
 def run_ic(
@@ -163,8 +248,10 @@ def run_ic(
     if params is None:
         params = ModelParams()
     s = g.index(seed)
-    rng = _stream(params.rng_seed, run_index)
-    return _cascade(g, s, g.adjacency, max_iterations, rng, params.ic_probability)
+    p = params.ic_probability
+    # random() < 1 always holds, so p = 1 needs no stream.
+    rng = _stream(params.rng_seed, run_index) if p < 1 else None
+    return _cascade(g, s, g.adjacency, max_iterations, rng, p)
 
 
 def run_si(

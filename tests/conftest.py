@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import functools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import netdiffuse
 from netdiffuse.graph import Graph, graph_from_edges, load_edge_list_path
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -124,6 +128,27 @@ def traced_peak_mib(fn):
         if not was_tracing:
             tracemalloc.stop()
     return result, (peak - base) / 2**20
+
+
+def numpy_stream(rng_seed, run_index):
+    """NumPy's generator for run ``run_index``: the oracle of the
+    package's in-package stream ``models._stream``."""
+    seq = np.random.SeedSequence([rng_seed & (2**64 - 1), run_index])
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def run_python(code, *args):
+    """stdout of ``python -c code args`` in a fresh interpreter on this package."""
+    src = str(Path(netdiffuse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout.strip()
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 The oracles are the tuple-and-set loader and the per-attempt draw loops
 that the CSR loader and the vectorized rounds replaced, kept as they
 were so that any change of labels, edges, error text or random draws
-shows up as a difference.
+shows up as a difference. The draw loops take their uniforms from
+NumPy's own generator, not from the package's stream.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from netdiffuse.errors import EdgeListParseError, EmptyInputError, GraphError
 from netdiffuse.graph import decode_utf8, graph_from_edges, graph_from_text, load_edge_list
 from netdiffuse.models import SI_CAP_FACTOR, ModelParams, _stream, run_ic, run_si
 
-from conftest import trace_key
+from conftest import numpy_stream, trace_key
 
 
 class OracleGraph:
@@ -80,7 +81,7 @@ def oracle_key(s, rounds, truncated):
 def oracle_ic(g, seed, params, run_index, max_iterations):
     s = g.labels.index(seed)
     p = params.ic_probability
-    rng = _stream(params.rng_seed, run_index)
+    rng = numpy_stream(params.rng_seed, run_index)
     active = {s}
     frontier = [s]
     rounds = []
@@ -109,7 +110,7 @@ def oracle_si(g, seed, params, run_index, max_iterations):
     n = len(g.labels)
     beta = params.si_beta
     cap = max_iterations if max_iterations is not None else SI_CAP_FACTOR * n
-    rng = _stream(params.rng_seed, run_index)
+    rng = numpy_stream(params.rng_seed, run_index)
     infected = {s}
     rounds = []
     clock = 0
@@ -264,15 +265,15 @@ class TestModels:
 
 
 class TestDrawStream:
-    """The two generator facts a round's single vector draw rests on."""
+    """The two stream facts a round's single vector draw rests on."""
 
     def test_vector_draw_equals_scalar_draws(self):
         vector, scalar = _stream(42, 3), _stream(42, 3)
         for k in (1, 2, 7, 100):
-            assert vector.random(k).tolist() == [scalar.random() for _ in range(k)]
+            assert vector.random(k).tolist() == [scalar.random(1)[0] for _ in range(k)]
 
     def test_empty_draw_leaves_stream(self):
         drawn, untouched = _stream(7, 0), _stream(7, 0)
         assert len(drawn.random(0)) == 0
-        assert drawn.random() == untouched.random()
+        assert drawn.random(1)[0] == untouched.random(1)[0]
         assert np.array_equal(drawn.random(5), untouched.random(5))

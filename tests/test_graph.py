@@ -4,12 +4,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
-import os
 import random
-import subprocess
-import sys
 from collections import deque
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import netdiffuse
 from netdiffuse import graph as graph_module
 from netdiffuse.errors import (
     EdgeListParseError,
@@ -44,7 +39,7 @@ from netdiffuse.models import ModelParams, run_ic
 
 from conftest import (
     bfs_oracle, complete_graph, cycle_graph, er_graph, neighbor_sets, path_graph,
-    random_graphs, traced_peak_mib,
+    random_graphs, run_python, traced_peak_mib,
 )
 
 
@@ -484,20 +479,6 @@ class TestAdjacencyBits:
     @given(random_graphs(max_nodes=70))
     def test_random_graphs(self, g):
         self.check(g)
-
-
-def run_python(code, *args):
-    """stdout of ``python -c code args`` in a fresh interpreter on this package."""
-    src = str(Path(netdiffuse.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return result.stdout.strip()
 
 
 def test_imports_load_no_scipy():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netdiffuse import models
 from netdiffuse.errors import GraphError, InactiveNodeError, UnknownNodeError
 from netdiffuse.graph import graph_from_text, load_edge_list_path
 from netdiffuse.models import (
@@ -198,6 +199,17 @@ class TestRunIc:
         trace = run_ic(karate, "2")
         assert len(trace.iterations) == 3
         assert [len(s) for s in cumulative_sets(trace)[1:]] == [10, 23, 34]
+
+    def test_p1_draws_nothing(self, karate, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("ic at p = 1 built a stream")
+
+        monkeypatch.setattr(models, "_stream", no_stream)
+        trace = run_ic(karate, "2", ModelParams(ic_probability=1.0, rng_seed=-3), run_index=5)
+        dist = bfs_oracle(karate, karate.index("2"))
+        assert [set(nodes.tolist()) for nodes in trace.iterations] == [
+            {v for v, d in dist.items() if d == t} for t in range(1, max(dist.values()) + 1)
+        ]
 
     def test_zero_probability(self, karate):
         trace = run_ic(karate, "2", ModelParams(ic_probability=0.0))
