@@ -61,6 +61,19 @@ MULTI_RUN_SHA256 = {
         "baa3f6adf2044644d17282832fb831d0ac11b76889a37d618355618d27166bc4",
 }
 
+# sha256 and the stderr warning of `netdiffuse run` CSVs cut off by
+# --max-iterations, one per model, with and without a random stream.
+CAPPED_RUN_SHA256 = {
+    ("lesmis", "--model cns --max-iterations 2 --seed-node Myriel"):
+        ("05dfe5df3fc48ea3041b4ccfcab5008017f1740e19af4c826928b5223f6b0216", "1 of 1"),
+    ("lesmis", "--model ic --ic-p 0.3 --max-iterations 2 --runs 3 --seed-node Valjean"):
+        ("33c53302beb2b6df9ef1da88fd74e047b585bca6a09ae7652e10ffde36188fb6", "3 of 3"),
+    ("karate", "--model ic --max-iterations 2 --seed-node 2"):
+        ("e4abe0860e29dffef96e4f3cf684a9fb767bf537404e1c5fc63dbccf480f7d51", "1 of 1"),
+    ("polblogs", "--model si --si-beta 0.2 --max-iterations 4 --runs 3 --seed-node 693"):
+        ("f5adbefdc60e300ffd9ef0231cc774f596e4310188e327a6ceb6a6b763fca8bc", "3 of 3"),
+}
+
 # sha256 of each `netdiffuse reproduce --seeds data/seeds_example.txt` file.
 REPRODUCE_SHA256 = {
     "deviations.txt": "84718d82436d0f47fc5c2fed20571ea318773cb2f6f470d7aa818a500c10a53a",
@@ -392,6 +405,18 @@ class TestCli:
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == MULTI_RUN_SHA256[(dataset, flags)]
+
+    @pytest.mark.parametrize("dataset, flags", sorted(CAPPED_RUN_SHA256))
+    def test_capped_run_csv_byte_identical(self, data_dir, tmp_path, dataset, flags):
+        out = tmp_path / "capped.csv"
+        code, err = _run_cli(
+            ["run", "--graph", str(data_dir / f"{dataset}.txt"), *flags.split(),
+             "--out", str(out)]
+        )
+        digest, counts = CAPPED_RUN_SHA256[(dataset, flags)]
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert err == f"netdiffuse: warning: {counts} runs stopped with nodes unreached\n"
 
     def test_runs_on_deterministic_model_is_usage_error(self, karate_path, capsys):
         code = main(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from netdiffuse import models
 from netdiffuse.errors import GraphError, InactiveNodeError, UnknownNodeError
-from netdiffuse.graph import graph_from_text, load_edge_list_path
+from netdiffuse.graph import Adjacency, graph_from_text, load_edge_list_path
 from netdiffuse.models import (
     ModelParams,
     cns_activate,
@@ -266,6 +266,23 @@ class TestRunSi:
         trace = run_si(g, "a", ModelParams(si_beta=1.0))
         assert cumulative_sets(trace)[-1] == {g.index("a"), g.index("b")}
         assert trace.truncated
+
+    @pytest.mark.parametrize("text, seed", [(None, "2"), ("a b\nc d", "a")])
+    def test_stops_once_nothing_is_left_to_attempt(self, karate, monkeypatch, text, seed):
+        # Neither run can infect anyone after its last recorded round; a
+        # loop that went on to the cap would gather rows 10 n times.
+        g = karate if text is None else graph_from_text(text)
+        calls = 0
+        rows = Adjacency.rows
+
+        def counted(self, nodes):
+            nonlocal calls
+            calls += 1
+            return rows(self, nodes)
+
+        monkeypatch.setattr(Adjacency, "rows", counted)
+        trace = run_si(g, seed, ModelParams(si_beta=1.0))
+        assert calls <= len(trace.iterations) + 2
 
     def test_explicit_cap_overrides_default(self, karate):
         trace = run_si(karate, "2", ModelParams(si_beta=1.0), max_iterations=1)
