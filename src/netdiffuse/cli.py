@@ -69,9 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--runs", type=int, default=1,
                      help="repetitions; > 1 only for stochastic configs")
     run.add_argument("--max-iterations", type=int, default=None,
-                     help="round cap: recorded rounds for cns and ic, clock "
-                          "rounds (infecting or not) for si; default none for "
-                          "cns and ic, 10 x node count for si")
+                     help="cap on the rounds run, whether or not they activate "
+                          "anyone (default 10 x node count)")
     run.add_argument("--out", required=True, help="metrics CSV path, - for stdout")
 
     rep = sub.add_parser("reproduce", help="regenerate benchmark figure data")

@@ -6,18 +6,26 @@ trace records the state after round t; the seed alone is iteration 0 and
 is never recorded as a row. Rounds that activate nothing are not
 recorded, which keeps cumulative coverage strictly increasing.
 
+The three differ only in who acts: in the two cascades the last round's
+activations, each once; in SI every infected node, every round. A
+cascade ends at its first round that activates nobody, so it records
+every round it runs. ``max_iterations`` caps the rounds run, whether
+or not they activate anyone; its default, ``SI_CAP_FACTOR`` times the
+node count, only SI can reach.
+
 The strong-tie cascade depends on the active set only through the final
 subtraction, so each node's targets are fixed: its row of the reach
 digraph ``TieStrengthTable.reach``, whose rule the ``ties`` module
 states. It is the independent cascade at p = 1 on that digraph.
 
 Every round of every model is one attempt step: lay the CSR rows of the
-actors end to end, drop the targets already active and, for IC and SI,
-take one uniform per (actor, target) attempt in one vector draw. Actors
-and targets ascend by internal index, so the draw yields the same
-numbers as one scalar draw per attempt in that order. Streams derive
-from (rng_seed, run_index), so repetitions of one experiment are
-independent but individually reproducible.
+actors end to end, drop the targets already active (ending the run if
+none is left) and, below probability 1, take one uniform per (actor,
+target) attempt in one vector draw. Actors and targets ascend by
+internal index, so the draw yields the same numbers as one scalar draw
+per attempt in that order. Streams derive from (rng_seed, run_index),
+so repetitions of one experiment are independent but individually
+reproducible.
 
 Run k draws from PCG64 (XSL-RR 128/64) seeded by
 ``SeedSequence([rng_seed mod 2**64, k])``, computed here by ``Pcg64``
@@ -71,9 +79,11 @@ class DiffusionTrace:
 
     graph is the graph the run saw and seed the seed's index in it.
     iterations[t] holds the nodes round t + 1 activated, as an ascending
-    int64 index array. truncated marks runs stopped by an iteration cap
-    with spreadable or unreachable nodes left over. There is no
-    field-wise equality: arrays have no single truth value.
+    int64 index array. truncated marks a run that ends with inactive
+    nodes in one of two ways: the round cap stops it, or, in SI, no
+    infected node has a susceptible neighbor left. A cascade that dies
+    out is not truncated. There is no field-wise equality: arrays have
+    no single truth value.
     """
 
     graph: Graph
@@ -102,38 +112,46 @@ def cns_activate(
     return set(_reach(g, table).rows(np.array([v])).tolist()) - set(active)
 
 
-def _attempt(
-    adjacency: Adjacency, actors: np.ndarray, active: np.ndarray,
-    rng: Pcg64 | None, p: float,
-) -> np.ndarray:
-    """The inactive nodes ``actors`` activate along their rows, ascending;
-    with a stream each attempt succeeds with probability p, else always."""
-    targets = adjacency.rows(actors)
-    targets = targets[~active[targets]]
-    if rng is not None:
-        # random() lives in [0, 1), so p = 1 always succeeds.
-        targets = targets[rng.random(len(targets)) < p]
-    return sorted_unique(targets)
-
-
-def _cascade(
+def _spread(
     g: Graph, s: int, adjacency: Adjacency, max_iterations: int | None,
-    rng: Pcg64 | None = None, p: float = 1.0,
+    p: float = 1.0, rng_seed: int = 0, run_index: int = 0, every_round: bool = False,
 ) -> DiffusionTrace:
-    """A cascade from ``s`` along the arcs of ``adjacency`` in which only
-    the last round's activations act, each attempting its row once."""
+    """Rounds from ``s`` along the arcs of ``adjacency``: the last round's
+    activations act once (a cascade), or every active node acts every
+    round (``every_round``, SI). Each attempt on an inactive target
+    succeeds with probability p, drawn from run ``run_index``'s stream
+    when p < 1 (``random() < 1`` always holds, so p = 1 draws nothing)."""
+    cap = SI_CAP_FACTOR * g.node_count if max_iterations is None else max_iterations
+    rng = _stream(rng_seed, run_index) if p < 1 else None
     active = np.zeros(g.node_count, dtype=bool)
     active[s] = True
-    frontier = np.array([s])
+    newly = np.array([s])
     rounds: list[np.ndarray] = []
-    while len(frontier):
-        if max_iterations is not None and len(rounds) >= max_iterations:
-            return DiffusionTrace(g, s, tuple(rounds), not active.all())
-        frontier = _attempt(adjacency, frontier, active, rng, p)
-        if len(frontier):
-            rounds.append(frontier)
-            active[frontier] = True
-    return DiffusionTrace(g, s, tuple(rounds))
+    truncated = True
+    for _ in range(cap):
+        if active.all():
+            break
+        targets = adjacency.rows(np.flatnonzero(active) if every_round else newly)
+        targets = targets[~active[targets]]
+        if not len(targets):
+            # Nothing left to attempt: SI leaves the rest unreached, while
+            # a cascade has simply run its course.
+            truncated = every_round
+            break
+        if rng is not None:
+            targets = targets[rng.random(len(targets)) < p]
+        newly = sorted_unique(targets)
+        # Free the gather now: kept, it would sit beside the next round's
+        # gather and raise peak memory.
+        del targets
+        if len(newly):
+            rounds.append(newly)
+            active[newly] = True
+        elif not every_round:
+            # A cascade whose round activated nobody has died out.
+            truncated = False
+            break
+    return DiffusionTrace(g, s, tuple(rounds), truncated and not active.all())
 
 
 def run_cns(
@@ -149,7 +167,7 @@ def run_cns(
     s = g.index(seed)
     if table is None:
         table = build_tie_strength_table(g)
-    return _cascade(g, s, _reach(g, table), max_iterations)
+    return _spread(g, s, _reach(g, table), max_iterations)
 
 
 _MASK32 = 2**32 - 1
@@ -247,11 +265,8 @@ def run_ic(
     sets are exactly the seed's breadth-first balls."""
     if params is None:
         params = ModelParams()
-    s = g.index(seed)
-    p = params.ic_probability
-    # random() < 1 always holds, so p = 1 needs no stream.
-    rng = _stream(params.rng_seed, run_index) if p < 1 else None
-    return _cascade(g, s, g.adjacency, max_iterations, rng, p)
+    return _spread(g, g.index(seed), g.adjacency, max_iterations,
+                   params.ic_probability, params.rng_seed, run_index)
 
 
 def run_si(
@@ -262,31 +277,9 @@ def run_si(
     max_iterations: int | None = None,
 ) -> DiffusionTrace:
     """SI epidemic: every infected node attempts every susceptible
-    neighbor every round, and infection is permanent.
-
-    The clock cap (default 10x node count) counts rounds whether or not
-    they infect anyone; only infecting rounds become trace iterations.
-    Stopping with susceptible nodes left, for any reason, sets the
-    truncated flag.
-    """
+    neighbor every round, and infection is permanent. The default round
+    cap is ``SI_CAP_FACTOR`` times the node count."""
     if params is None:
         params = ModelParams()
-    s = g.index(seed)
-    cap = max_iterations if max_iterations is not None else SI_CAP_FACTOR * g.node_count
-    rng = _stream(params.rng_seed, run_index)
-    infected = np.zeros(g.node_count, dtype=bool)
-    infected[s] = True
-    rounds: list[np.ndarray] = []
-    for _ in range(cap):
-        if infected.all():
-            break
-        actors = np.flatnonzero(infected)
-        newly = _attempt(g.adjacency, actors, infected, rng, params.si_beta)
-        if len(newly):
-            rounds.append(newly)
-            infected[newly] = True
-        elif infected[g.adjacency.rows(actors)].all():
-            # Remaining susceptibles are unreachable; no later round would
-            # draw, so stop now with the outcome the cap would give.
-            break
-    return DiffusionTrace(g, s, tuple(rounds), not infected.all())
+    return _spread(g, g.index(seed), g.adjacency, max_iterations,
+                   params.si_beta, params.rng_seed, run_index, every_round=True)

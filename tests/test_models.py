@@ -253,6 +253,14 @@ class TestRunSi:
         assert trace_key(si) == trace_key(ic)
         assert not si.truncated
 
+    def test_beta1_draws_nothing(self, karate, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("si at beta = 1 built a stream")
+
+        monkeypatch.setattr(models, "_stream", no_stream)
+        trace = run_si(karate, "2", ModelParams(si_beta=1.0, rng_seed=-3), run_index=5)
+        assert [len(nodes) for nodes in trace.iterations] == [9, 13, 11]
+
     def test_beta0_truncates_at_cap(self):
         g = graph_from_text("a b\nb c")
         trace = run_si(g, "a", ModelParams(si_beta=0.0))
