@@ -2,9 +2,10 @@
 
 A graph is its labels plus one CSR adjacency. Nodes carry dense 0-based
 internal indices assigned in first-appearance order; the original
-dataset labels are kept as opaque strings. The label map and the
-packed bit rows are built on first use, never on load. All functions
-here are pure and the graph is safe to share between threads.
+dataset labels are kept as opaque strings. Input files are read a line
+at a time, and a line ends at ``\\n`` (``numbered_lines``). The label map
+and the packed bit rows are built on first use, never on load. All
+functions here are pure and the graph is safe to share between threads.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ from .errors import (
 __all__ = [
     "Adjacency",
     "Graph",
-    "decode_utf8",
     "load_edge_list",
     "load_edge_list_path",
+    "numbered_lines",
     "serialize_edge_list",
     "largest_connected_component",
     "induced_subgraph",
@@ -37,7 +38,6 @@ __all__ = [
     "average_degree",
 ]
 
-_TEXT_SLICE = 1 << 14  # characters per slice of the loader, at least
 _GATHER_WORDS = 1 << 18  # uint64 words per neighbor gather of the all-sources BFS (2 MiB)
 
 
@@ -199,57 +199,47 @@ def _graph_from_tokens(tokens: Iterable[str]) -> Graph:
     return Graph(tuple(index_of), Adjacency.from_keys(sorted_unique(keys), n))
 
 
-def decode_utf8(raw: bytes) -> str:
-    """UTF-8 text of ``raw``; EdgeListParseError names the first bad line."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_number = raw.count(b"\n", 0, exc.start) + 1
-        raise EdgeListParseError("not valid UTF-8", line_number) from None
+def numbered_lines(stream: Iterable[bytes] | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` for each line of an open stream, numbered
+    from 1 and read as the stream yields it, so a line ends at ``\\n``
+    only. A bytes line is decoded as UTF-8; EdgeListParseError names the
+    first line that is not."""
+    for number, line in enumerate(stream, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise EdgeListParseError("not valid UTF-8", number) from None
+        yield number, line
 
 
 def load_edge_list(source: IO[bytes] | IO[str]) -> Graph:
     """Parse a whitespace-separated edge-list stream into a Graph.
 
-    One edge per line, exactly two tokens; lines whose first
-    non-whitespace character is ``#`` are comments and blank lines are
-    skipped. Self loops are dropped and duplicate edges (in either
-    orientation) collapse to one. Raises EdgeListParseError with the
-    offending line number, or EmptyInputError if no edges survive.
+    One edge per ``\\n``-ended line (``numbered_lines``), exactly two
+    tokens; lines whose first non-whitespace character is ``#`` are
+    comments and blank lines are skipped. Self loops are dropped and
+    duplicate edges (in either orientation) collapse to one. Raises
+    EdgeListParseError for the first offending line, before any later
+    line is read, or EmptyInputError if no edges survive.
     """
-    raw = source.read()
-    text = decode_utf8(raw) if isinstance(raw, bytes) else raw
-    g = _graph_from_tokens(_edge_tokens(text))
+    g = _graph_from_tokens(_edge_tokens(source))
     if g.edge_count == 0:
         raise EmptyInputError("edge list contains no usable edges")
     return g
 
 
-def _edge_tokens(text: str) -> Iterator[str]:
-    """The two tokens of each edge line of ``text``, line by line.
-
-    The lines are ``text.splitlines()``, taken a slice of text at a time:
-    each slice holds at least ``_TEXT_SLICE`` characters and ends just
-    after a ``\n`` (or at the end of the text). A ``\n`` always ends a
-    line and a ``\r\n`` pair never straddles such a cut, so the slices
-    split into exactly the lines of the whole text, and line numbers run
-    on from slice to slice. No list of every line is built.
-    """
-    line_number = 0
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + _TEXT_SLICE - 1) + 1 or len(text)
-        for line in text[start:stop].splitlines():
-            line_number += 1
-            fields = line.split()
-            if not fields or fields[0].startswith("#"):
-                continue
-            if len(fields) != 2:
-                raise EdgeListParseError(
-                    f"expected two tokens, got {len(fields)}: {line.strip()!r}", line_number
-                )
-            yield from fields
-        start = stop
+def _edge_tokens(source: IO[bytes] | IO[str]) -> Iterator[str]:
+    """The two tokens of each edge line of ``source``, line by line."""
+    for line_number, line in numbered_lines(source):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 2:
+            raise EdgeListParseError(
+                f"expected two tokens, got {len(fields)}: {line.strip()!r}", line_number
+            )
+        yield from fields
 
 
 def load_edge_list_path(path: str | Path) -> Graph:

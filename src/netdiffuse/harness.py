@@ -26,10 +26,11 @@ import numpy as np
 
 from . import golden
 from .errors import (
-    ConfigError, GraphError, MissingDatasetError, MissingSeedError, UnknownNodeError
+    ConfigError, EdgeListParseError, GraphError, MissingDatasetError, MissingSeedError,
+    UnknownNodeError,
 )
 from .graph import (
-    Graph, average_degree, decode_utf8, largest_connected_component, load_edge_list_path
+    Graph, average_degree, largest_connected_component, load_edge_list_path, numbered_lines
 )
 from .metrics import METRICS_COLUMNS, IterationMetrics, evaluate_trace, format_cell
 from .models import DiffusionTrace, ModelParams, run_cns, run_ic, run_si
@@ -163,12 +164,12 @@ def _experiment(
     runs: int = 1,
     max_iterations: int | None = None,
 ) -> ModelResult:
-    """``runs`` evaluated runs of ``model`` from ``seed``; cns builds its
-    own tie table. The runners and ``evaluate_trace`` are read from this
-    module's globals at call time, so a wrapper installed there sees
-    every call."""
+    """``runs`` evaluated runs of ``model`` from ``seed``; cns, which is
+    deterministic, runs once and builds its own tie table. The runners
+    and ``evaluate_trace`` are read from this module's globals at call
+    time, so a wrapper installed there sees every call."""
     if model == "cns":
-        traces = [run_cns(g, seed, max_iterations=max_iterations) for _ in range(runs)]
+        traces = [run_cns(g, seed, max_iterations=max_iterations)]
     else:
         run = run_ic if model == "ic" else run_si
         traces = [
@@ -177,7 +178,7 @@ def _experiment(
         ]
     metrics = [evaluate_trace(t) for t in traces]
     result = ModelResult(traces, metrics)
-    if runs > 1:
+    if len(traces) > 1:
         # A run that activated nobody ends in its seed-only state.
         finals = [
             rows[-1] if rows else evaluate_trace(t, include_initial=True)[0]
@@ -215,29 +216,26 @@ def write_report_csv(report: ComparisonReport, stream: IO[str]) -> None:
 
 
 def parse_seeds_file(path: Path | str) -> dict[str, str]:
-    """Read `dataset=seed label` lines; '#' comments and blanks skipped."""
+    """Read `dataset=seed label` lines; '#' comments and blanks skipped.
+    Lines end at ``\\n``, as in an edge list (``numbered_lines``)."""
     seeds: dict[str, str] = {}
     try:
-        text = decode_utf8(Path(path).read_bytes())
+        with open(path, "rb") as handle:
+            for number, raw in numbered_lines(handle):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                name, eq, label = line.partition("=")
+                name, label = name.strip(), label.strip()
+                if not eq or not name or not label:
+                    raise EdgeListParseError("expected 'dataset=seed label'", number)
+                if name not in DATASET_NAMES:
+                    raise EdgeListParseError(
+                        f"unknown dataset {name!r} (known: {', '.join(DATASET_NAMES)})", number
+                    )
+                seeds[name] = label
     except GraphError as exc:
         raise GraphError(f"seeds file {path}, {exc}") from None
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, eq, label = line.partition("=")
-        name = name.strip()
-        label = label.strip()
-        if not eq or not name or not label:
-            raise GraphError(
-                f"seeds file {path}, line {number}: expected 'dataset=seed label'"
-            )
-        if name not in DATASET_NAMES:
-            raise GraphError(
-                f"seeds file {path}, line {number}: unknown dataset {name!r} "
-                f"(known: {', '.join(DATASET_NAMES)})"
-            )
-        seeds[name] = label
     return seeds
 
 

@@ -3,8 +3,10 @@
 The oracles are the tuple-and-set loader and the per-attempt draw loops
 that the CSR loader and the vectorized rounds replaced, kept as they
 were so that any change of labels, edges, error text or random draws
-shows up as a difference. The draw loops take their uniforms from
-NumPy's own generator, not from the package's stream.
+shows up as a difference. The loader oracle cuts the whole input at
+every ``\\n`` and decodes each line on its own. The draw loops take
+their uniforms from NumPy's own generator, not from the package's
+stream.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdiffuse.errors import EdgeListParseError, EmptyInputError, GraphError
-from netdiffuse.graph import decode_utf8, graph_from_edges, graph_from_text, load_edge_list
+from netdiffuse.graph import graph_from_edges, graph_from_text, load_edge_list
 from netdiffuse.models import SI_CAP_FACTOR, ModelParams, _stream, run_ic, run_si
 
 from conftest import numpy_stream, trace_key
@@ -55,9 +57,14 @@ def oracle_graph_from_edges(pairs):
 
 def oracle_load(source):
     raw = source.read()
-    text = decode_utf8(raw) if isinstance(raw, bytes) else raw
+    newline = b"\n" if isinstance(raw, bytes) else "\n"
     pairs = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate(raw.split(newline), start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise EdgeListParseError("not valid UTF-8", line_number) from None
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -138,61 +145,81 @@ def oracle_si(g, seed, params, run_index, max_iterations):
     return oracle_key(s, rounds, truncated)
 
 
-def outcome(load, text):
-    """What a loader makes of ``text``: labels and edges, or the error."""
+def outcome(load, data):
+    """What a loader makes of ``data``, text or bytes: labels and edges,
+    or the error."""
     try:
-        g = load(io.StringIO(text))
+        g = load(io.StringIO(data) if isinstance(data, str) else io.BytesIO(data))
     except GraphError as exc:
         return type(exc), str(exc)
     return g.labels, list(g.edges())
 
 
-# Separators: every character str.split and str.splitlines treat alike or
-# differently; tokens: comment marks, CSV quoting and a non-ASCII letter.
-SEPARATORS = [" ", "\t", "\r", "\n", "\r\n", "\x0b", "\x0c", "  "]
+# Tokens: comment marks, CSV quoting and a non-ASCII letter.
 TOKENS = ["a", "b", "c", "1", "2", "#", "#x", "a,b", '"', '"q"', "é", "é#"]
 
 
 @st.composite
 def edge_texts(draw):
+    # Every line break of str.splitlines. Only "\n" ends a line; the others
+    # are whitespace that str.split cuts at inside a line.
+    line_breaks = [
+        "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+    ]
+    inner = [brk for brk in line_breaks if "\n" not in brk]
     lines = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank", "junk"]))
         if kind == "edge":
             a, b = draw(st.sampled_from(TOKENS)), draw(st.sampled_from(TOKENS))
-            sep = draw(st.sampled_from([" ", "\t", " \t ", "\x0b", "\x0c"]))
+            sep = draw(st.sampled_from([" ", "\t", " \t ", *inner]))
             lines.append(draw(st.sampled_from(["", " ", "\t"])) + a + sep + b)
         elif kind == "comment":
             lines.append(draw(st.sampled_from(["#", " # c", "\t#a b c"])))
         elif kind == "blank":
-            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0c"])))
+            lines.append(draw(st.sampled_from(["", " ", "\t", *inner])))
         else:
-            parts = draw(st.lists(st.sampled_from(TOKENS + SEPARATORS), max_size=6))
+            pieces = TOKENS + [" ", "  ", "\t", *line_breaks]
+            parts = draw(st.lists(st.sampled_from(pieces), max_size=6))
             lines.append("".join(parts))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    ends = draw(st.lists(
+        st.sampled_from(["\n", "\r\n"]) | st.sampled_from(line_breaks),
+        min_size=len(lines), max_size=len(lines),
+    ))
     return "".join(line + end for line, end in zip(lines, ends))
 
 
 class TestLoader:
     @settings(max_examples=400, deadline=None)
-    @given(edge_texts())
-    def test_matches_oracle(self, text):
+    @given(edge_texts(), st.data())
+    def test_matches_oracle(self, text, data):
         assert outcome(load_edge_list, text) == outcome(oracle_load, text)
+        raw = text.encode()
+        # Sometimes one byte that is never valid UTF-8, anywhere.
+        at = data.draw(st.none() | st.integers(0, len(raw)))
+        if at is not None:
+            raw = raw[:at] + b"\xff" + raw[at:]
+        assert outcome(load_edge_list, raw) == outcome(oracle_load, raw)
 
     @pytest.mark.parametrize(
-        "text",
+        "data",
         [
             "",
             "a a\n",
             "a b\n\x0bb c\n",
             "a b\x0cc\n",
+            "a\x0cb\n",
+            "a b\n\x85c d e\n",
+            "a b\rb c\r",
+            # A UTF-8 error after a malformed line is never read.
+            b"a b\nx y z\n\xff\n",
             '"q" é\n# x\n é a,b\r\n',
             "a b\n1 2 3\n",
             "#a b c\n  # \n\t\na\tb\n",
         ],
     )
-    def test_examples(self, text):
-        assert outcome(load_edge_list, text) == outcome(oracle_load, text)
+    def test_examples(self, data):
+        assert outcome(load_edge_list, data) == outcome(oracle_load, data)
 
     def test_bytes_match_text(self):
         text = "é a\n# c\nb é\n"

@@ -265,8 +265,29 @@ class TestSeedsFile:
     def test_invalid_utf8(self, tmp_path):
         path = tmp_path / "seeds.txt"
         path.write_bytes(b"karate=2\nlesmis=\xff\n")
-        with pytest.raises(GraphError, match="line 2: not valid UTF-8"):
+        with pytest.raises(GraphError) as exc:
             parse_seeds_file(path)
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == f"seeds file {path}, line 2: not valid UTF-8"
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"# c\nkarate\n", "line 2: expected 'dataset=seed label'"),
+            (
+                b"karate=2\x0c\r\nkarat=2\n",
+                "line 2: unknown dataset 'karat' (known: karate, lesmis, jazz, polblogs)",
+            ),
+        ],
+    )
+    def test_message(self, tmp_path, raw, message):
+        # A form feed ends no line; every message carries the path once.
+        path = tmp_path / "seeds.txt"
+        path.write_bytes(raw)
+        with pytest.raises(GraphError) as exc:
+            parse_seeds_file(path)
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == f"seeds file {path}, {message}"
 
 
 class TestReproduce:
