@@ -47,8 +47,9 @@ class Adjacency(NamedTuple):
     Row v is ``indices[indptr[v]:indptr[v + 1]]``, the targets of v in
     ascending order; position k is the arc (sources()[k], indices[k]),
     so arcs ascend by source and then by target. Both arrays are int64.
-    Rows may be directed; a ``Graph``'s adjacency is symmetric, as
-    ``_bfs_levels`` and ``distance_summary`` need.
+    Rows may be directed: ``_bfs_levels`` reads row v as the nodes one
+    hop before v. A ``Graph``'s adjacency is symmetric, as
+    ``distance_summary`` needs.
     """
 
     indptr: np.ndarray
@@ -316,60 +317,94 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     return Graph(tuple(g.labels[v] for v in keep), adjacency)
 
 
+def _gather_or(frontier: np.ndarray, columns: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """OR of ``frontier``'s ``columns`` over each run that begins at one of
+    ``starts``: a (rows of frontier, len(starts)) array. The columns are
+    gathered a slice of word rows at a time, each slice holding at most
+    ``_GATHER_WORDS`` words, or one word row when that row alone is larger.
+    """
+    out = np.empty((len(frontier), len(starts)), dtype=np.uint64)
+    step = max(1, _GATHER_WORDS // len(columns))
+    for lo in range(0, len(frontier), step):
+        rows = slice(lo, lo + step)
+        out[rows] = np.bitwise_or.reduceat(frontier[rows].take(columns, axis=1), starts, axis=1)
+    return out
+
+
 def _bfs_levels(adjacency: Adjacency) -> Iterator[tuple[int, np.ndarray]]:
     """Level-synchronous breadth-first search from every node at once.
 
+    Row v of ``adjacency`` lists the in-neighbors of v, the nodes one hop
+    before it; a Graph's symmetric rows are their own in-neighbor rows.
     Yields ``(level, frontier)`` for levels 1, 2, ... while any pair is
     newly reached. ``frontier`` is a (ceil(n / 64), n) uint64 array:
     column v holds a bitset over sources, and bit s of that column's
     bytes (little bit order) is set iff v is exactly ``level`` hops from
-    s. A level ORs the columns of each node's neighbors, one contiguous
-    run per word row, so the search is bitwise throughout. The yielded
+    s. Level 1 is the adjacency itself; a later level ORs the columns of
+    each node's in-neighbors, one contiguous run per word row
+    (``_gather_or``), so the search is bitwise throughout. The yielded
     array is the next level's input and must not be changed.
 
-    The neighbor columns are gathered a slice of word rows at a time:
-    each gather holds at most ``_GATHER_WORDS`` words, or one word row
-    of 2m words when that row alone is larger.
+    Column v is finished once it holds every source, or once a level
+    reaches no new source of it: a source farther away would have a
+    shortest path through a node exactly that many hops from v. Later
+    levels gather only the rows of unfinished columns, and the search
+    ends when none is left.
     """
     indptr, indices = adjacency
     n = adjacency.node_count
     if len(indices) == 0:
         return
-    visited = np.zeros((-(-n // 64), n), dtype=np.uint64)
-    nodes = np.arange(n)
-    # Source s is bit s & 7 of byte (s >> 3) & 7 of word (s >> 6, v); setting
-    # bytes, not words, keeps that place the same on any endianness.
-    byte = 8 * nodes + ((nodes >> 3) & 7)
-    visited.view(np.uint8)[nodes >> 6, byte] = 1 << (nodes & 7)
-    frontier = visited.copy()
-    # reduceat gives an empty segment its start element: skip isolated nodes.
-    has = np.diff(indptr) > 0
-    starts = indptr[:-1][has]
-    step = max(1, _GATHER_WORDS // len(indices))
-    level = 0
-    while True:
-        reached = np.zeros_like(visited)
-        for lo in range(0, len(visited), step):
-            rows = slice(lo, lo + step)
-            reached[rows, has] = np.bitwise_or.reduceat(
-                frontier[rows].take(indices, axis=1), starts, axis=1
-            )
-        reached &= ~visited
-        if not reached.any():
+    # Source s of column v is bit s & 7 of byte (s >> 3) & 7 of word (s >> 6, v);
+    # setting bytes, not words, keeps that place the same on any endianness.
+    frontier = np.zeros((-(-n // 64), n), dtype=np.uint64)
+    np.bitwise_or.at(
+        frontier.view(np.uint8).reshape(-1),
+        (indices >> 6) * (8 * n) + 8 * adjacency.sources() + ((indices >> 3) & 7),
+        (1 << (indices & 7)).astype(np.uint8),
+    )
+    level = 1
+    yield level, frontier
+    # The unfinished columns, the sources each still misses and, as bits,
+    # which: all but its level-1 sources and, cleared here, its own node.
+    degree = indptr[1:] - indptr[:-1]
+    missing = n - 1 - degree
+    is_live = (degree > 0) & (missing > 0)
+    live = np.flatnonzero(is_live)
+    missing, unseen = missing[live], ~frontier.take(live, axis=1)
+    unseen.view(np.uint8)[live >> 6, 8 * np.arange(len(live)) + ((live >> 3) & 7)] ^= (
+        1 << (live & 7)
+    ).astype(np.uint8)
+    while len(live):
+        lengths = degree[live]
+        # The live columns' rows, end to end; no copy while every column is live.
+        rows = indices if len(live) == n else indices[np.repeat(is_live, degree)]
+        fresh = _gather_or(frontier, rows, np.cumsum(lengths) - lengths)
+        fresh &= unseen
+        counts = np.bitwise_count(fresh).sum(axis=0, dtype=np.int64)
+        if not counts.any():
             return
         level += 1
-        visited |= reached
-        frontier = reached
+        frontier = np.zeros_like(frontier)
+        frontier[:, live] = fresh
         yield level, frontier
+        unseen ^= fresh
+        missing -= counts
+        keep = (counts > 0) & (missing > 0)
+        is_live[live] = keep
+        live, missing, unseen = live[keep], missing[keep], unseen.compress(keep, axis=1)
+        del fresh  # so the next gather does not hold this level's columns too
 
 
 def distance_summary(adjacency: Adjacency) -> tuple[int, int, int]:
     """(diameter, distance sum, pair count) over unordered connected pairs.
 
-    ``adjacency`` is a symmetric adjacency, as a graph holds it or
-    induced from one. Unreachable pairs are left out of all three;
-    the distance matrix is never built. The sum and the count are exact
-    integers, so ``sum / count`` is the correctly rounded mean distance.
+    ``adjacency`` must be symmetric, as a graph holds it or induced from
+    one: the search from every node then reaches each connected pair from
+    both ends, and halving its counts takes each pair once. Unreachable
+    pairs are left out of all three; the distance matrix is never built.
+    The sum and the count are exact integers, so ``sum / count`` is the
+    correctly rounded mean distance.
     """
     diameter = total = pairs = 0
     for level, frontier in _bfs_levels(adjacency):

@@ -161,13 +161,17 @@ def _experiment(
     model: str,
     seed: str,
     params: ModelParams,
+    horizons: dict[bytes, tuple[int, ...]],
     runs: int = 1,
     max_iterations: int | None = None,
 ) -> ModelResult:
     """``runs`` evaluated runs of ``model`` from ``seed``; cns, which is
-    deterministic, runs once and builds its own tie table. The runners
-    and ``evaluate_trace`` are read from this module's globals at call
-    time, so a wrapper installed there sees every call."""
+    deterministic, runs once and builds its own tie table. Every horizon
+    is evaluated through ``horizons``, the caller's dict for ``g``
+    (``evaluate_trace``), so one met in an earlier run or model is not
+    evaluated again. The runners and ``evaluate_trace`` are read from
+    this module's globals at call time, so a wrapper installed there
+    sees every call."""
     if model == "cns":
         traces = [run_cns(g, seed, max_iterations=max_iterations)]
     else:
@@ -176,12 +180,12 @@ def _experiment(
             run(g, seed, params, run_index=r, max_iterations=max_iterations)
             for r in range(runs)
         ]
-    metrics = [evaluate_trace(t) for t in traces]
+    metrics = [evaluate_trace(t, horizons=horizons) for t in traces]
     result = ModelResult(traces, metrics)
     if len(traces) > 1:
         # A run that activated nobody ends in its seed-only state.
         finals = [
-            rows[-1] if rows else evaluate_trace(t, include_initial=True)[0]
+            rows[-1] if rows else evaluate_trace(t, include_initial=True, horizons=horizons)[0]
             for t, rows in zip(traces, metrics)
         ]
         result.mean_series, result.padded_runs = _mean_series(metrics, finals)
@@ -192,7 +196,8 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Execute one config end to end; see module docstring for aggregation."""
     g = _load_run_graph(config.graph_path, config.seed_node)
     result = _experiment(
-        g, config.model, config.seed_node, config.params, config.runs, config.max_iterations
+        g, config.model, config.seed_node, config.params, {}, config.runs,
+        config.max_iterations,
     )
     return ComparisonReport(config.dataset, config.seed_node, {config.model: result})
 
@@ -290,8 +295,11 @@ def reproduce_paper(
                 name, g.node_count, g.edge_count, *expected,
             )
         avg_degrees[name] = average_degree(g)
+        horizons: dict[bytes, tuple[int, ...]] = {}
         for model in MODELS:
-            produced[(name, model)] = _experiment(g, model, seed, ModelParams()).metrics[0]
+            produced[(name, model)] = _experiment(
+                g, model, seed, ModelParams(), horizons
+            ).metrics[0]
 
     written: list[Path] = []
 

@@ -6,7 +6,11 @@ is a property of that horizon: coverage against the full graph, then
 diameter, average distance, density and average degree within it. Each
 horizon is induced from the parent graph's CSR adjacency, which the
 graph builds once, and its distances come from one bit-packed
-breadth-first search from all of its nodes at once. Distance metrics
+breadth-first search from all of its nodes at once, in which a node
+leaves the search once no farther source can reach it. A horizon that
+recurs (a later run's, or another model's, on the same graph) is read
+back from the caller's ``horizons`` dict instead of evaluated again;
+the harness keeps one such dict per graph. Distance metrics
 skip disconnected pairs, and density is 0 below two nodes, so a
 single-node horizon (the seed-only row) reports zeros across the board
 through the same path as every other row.
@@ -67,12 +71,21 @@ class IterationMetrics:
 
 
 def _horizon_metrics(
-    adjacency: Adjacency, iteration: int, new_active: int, members: np.ndarray
+    adjacency: Adjacency,
+    iteration: int,
+    new_active: int,
+    active: np.ndarray,
+    horizons: dict[bytes, tuple[int, ...]],
 ) -> IterationMetrics:
-    n = len(members)
-    horizon = adjacency.induced(members)
-    edges = len(horizon.indices) // 2
-    diameter, total, pairs = distance_summary(horizon)
+    key = np.packbits(active).tobytes()
+    summary = horizons.get(key)
+    if summary is None:
+        members = np.flatnonzero(active)
+        horizon = adjacency.induced(members)
+        summary = horizons[key] = (
+            len(members), len(horizon.indices) // 2, *distance_summary(horizon)
+        )
+    n, edges, diameter, total, pairs = summary
     return IterationMetrics(
         iteration=iteration,
         new_active=new_active,
@@ -87,23 +100,32 @@ def _horizon_metrics(
 
 
 def evaluate_trace(
-    trace: DiffusionTrace, include_initial: bool = False
+    trace: DiffusionTrace,
+    include_initial: bool = False,
+    horizons: dict[bytes, tuple[int, ...]] | None = None,
 ) -> list[IterationMetrics]:
     """One metrics row per trace iteration, computed on the horizon in
     ``trace.graph``.
 
     include_initial prepends an iteration-0 row for the seed-only state,
-    with no new activations.
+    with no new activations. ``horizons`` maps each horizon already
+    evaluated on this graph, keyed by ``np.packbits`` of its active
+    mask, to its (nodes, edges, diameter, distance sum, pair count); a
+    row whose horizon is there reuses it, and a new one is added. Share
+    one dict between the traces of one graph only; None starts an empty
+    one.
     """
+    if horizons is None:
+        horizons = {}
     adjacency = trace.graph.adjacency
     active = np.zeros(adjacency.node_count, dtype=bool)
     active[trace.seed] = True
     rows: list[IterationMetrics] = []
     if include_initial:
-        rows.append(_horizon_metrics(adjacency, 0, 0, np.flatnonzero(active)))
+        rows.append(_horizon_metrics(adjacency, 0, 0, active, horizons))
     for t, nodes in enumerate(trace.iterations, start=1):
         active[nodes] = True
-        rows.append(_horizon_metrics(adjacency, t, len(nodes), np.flatnonzero(active)))
+        rows.append(_horizon_metrics(adjacency, t, len(nodes), active, horizons))
     return rows
 
 

@@ -512,7 +512,10 @@ class TestMemoryBudget:
     """Peak traced memory of the polblogs graph kernels. Measured: the
     loader 1.18 MiB (1.42 with the whole text read and cut a slice at a
     time, 1.7 with a list of every line, 4.6 with a list of every token),
-    the whole-graph BFS 2.4 MiB (5.9 with one gather of all word rows)."""
+    the whole-graph BFS 2.47 MiB (5.9 with one gather of all word rows,
+    2.72 with a copy of the gathered row indices at every level): its
+    largest gather slice, 1.87 MiB, plus the frontier, the unfinished
+    columns' unseen bits and the gather's output."""
 
     def test_loader(self, data_dir):
         _, peak = traced_peak_mib(lambda: load_edge_list_path(data_dir / "polblogs.txt"))
@@ -591,6 +594,92 @@ class TestGatherSlices:
     @given(random_graphs(max_nodes=140), st.sampled_from([1, 2, 64]))
     def test_random_graphs(self, g, rows):
         self.check(g, rows)
+
+
+class TestGatherWork:
+    """Words of neighbor columns the all-sources BFS gathers: level 1 is
+    read from the CSR, and a finished column leaves the search."""
+
+    @staticmethod
+    def gathered_words(adjacency):
+        words = []
+        gather = graph_module._gather_or
+
+        def counted(frontier, columns, starts):
+            words.append(len(frontier) * len(columns))
+            return gather(frontier, columns, starts)
+
+        with mock.patch.object(graph_module, "_gather_or", counted):
+            distance_summary(adjacency)
+        return words
+
+    def test_empty_sphere_finishes_a_column(self):
+        # Triangle columns never hold the 70-node path's sources; level 2
+        # reaches nothing new for them, so only it gathers their 6 row
+        # entries. Path columns leave one level after their farthest
+        # source, the ends after level 70, all without ever being full.
+        path = [(f"p{v}", f"p{v + 1}") for v in range(69)]
+        g = graph_from_edges([("a", "b"), ("b", "c"), ("c", "a"), *path])
+        words = self.gathered_words(g.adjacency)  # 2 word rows of sources
+        assert words[:3] == [2 * (6 + 138), 2 * 138, 2 * 138]
+        assert len(words) == 69
+
+    def test_complete_graph_gathers_nothing(self):
+        # Every column holds every source after level 1.
+        assert self.gathered_words(complete_graph(65).adjacency) == []
+
+    def test_polblogs(self, data_dir):
+        # Levels 2 and 3 gather every row. 1,214 of the 1,224 columns hold
+        # every source after level 3, so level 4 gathers the 10 left and
+        # no level 5 runs; a search that kept every column would gather 5.
+        adjacency = load_edge_list_path(data_dir / "polblogs.txt").adjacency
+        whole = -(-adjacency.node_count // 64) * len(adjacency.indices)
+        assert sum(self.gathered_words(adjacency)) <= 2.1 * whole
+
+
+@st.composite
+def digraphs(draw, max_nodes: int = 140):
+    """(n, arcs) of a random digraph without self arcs on 1..max_nodes
+    nodes: dense ones reach every source, sparse ones stop short."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    p = draw(st.sampled_from([0.01, 0.05, 0.3]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**20)))
+    return n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+
+
+class TestDirectedRows:
+    """``_bfs_levels`` on in-neighbor rows of a digraph, level by level,
+    against a queue BFS along the arcs from each source."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs())
+    def test_levels_match_queue_bfs(self, digraph):
+        n, arcs = digraph
+        # Row v lists the tails u of the arcs u -> v.
+        keys = np.array(sorted(v * n + u for u, v in arcs), dtype=np.int64)
+        adjacency = Adjacency.from_keys(keys, n)
+        out = [[] for _ in range(n)]
+        for u, v in arcs:
+            out[u].append(v)
+        want = {}
+        for s in range(n):
+            dist = {s: 0}
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for v in out[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        queue.append(v)
+            for v, d in dist.items():
+                if d:
+                    want.setdefault(d, set()).add((s, v))
+        got = {}
+        for level, frontier in graph_module._bfs_levels(adjacency):
+            columns = np.ascontiguousarray(frontier.T).view(np.uint8)
+            bits = np.unpackbits(columns, axis=1, count=n, bitorder="little")
+            got[level] = {(int(s), int(v)) for v, s in zip(*np.nonzero(bits))}
+        assert got == want
 
 
 def test_er_generator_is_deterministic():

@@ -50,13 +50,16 @@ CNS_RUN_SHA256 = {
 }
 
 # sha256 of multi-run `netdiffuse run` CSVs, per-run rows plus the mean
-# block: some karate runs activate nobody, and every lesmis run is cut
-# off by the round cap.
+# block: some karate runs activate nobody, so their horizons repeat
+# across runs, as do the 200 polblogs runs' whole-component horizons;
+# every lesmis run is cut off by the round cap.
 MULTI_RUN_SHA256 = {
     ("karate", "--model ic --ic-p 0.05 --runs 20 --seed-node 2"):
         "37a2d48ce612bef55adafb633a2120454591f3a8b05e2d43159d6feb41a132e8",
     ("polblogs", "--model si --runs 5 --seed-node 693"):
         "1bd9efb23defa63a03c673140d22cd0d535c74676043c1a6bd9ff7a4742e450b",
+    ("polblogs", "--model si --runs 200 --seed-node 693"):
+        "a8a19e5ad56a985cbd353e4f138afc53b8d26fa9cf484fb87865ab9cbc00b78b",
     ("lesmis", "--model si --max-iterations 3 --runs 4 --seed-node Valjean"):
         "baa3f6adf2044644d17282832fb831d0ac11b76889a37d618355618d27166bc4",
 }

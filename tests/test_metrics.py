@@ -90,10 +90,20 @@ def two_components_and_isolated(n):
     return graph_on(n, edges)
 
 
+def lollipop(n, clique=16):
+    """A path over the first n - clique nodes ending in a clique on the
+    rest, which spans the word boundary at n = 65 and 129: each column
+    finishes at its own level, when the far end reaches it."""
+    path = [(v, v + 1) for v in range(n - clique)]
+    return graph_on(n, path + [(v, u) for v in range(n - clique, n) for u in range(v + 1, n)])
+
+
 WORD_BOUNDARY_SHAPES = {
     "path": lambda n: graph_on(n, [(v, v + 1) for v in range(n - 1)]),
     "cycle": lambda n: graph_on(n, [(v, (v + 1) % n) for v in range(n)]),
     "star": lambda n: graph_on(n, [(0, v) for v in range(1, n)]),
+    "complete": lambda n: graph_on(n, [(v, u) for v in range(n) for u in range(v + 1, n)]),
+    "lollipop": lollipop,
     "two_components_and_isolated": two_components_and_isolated,
 }
 
@@ -123,6 +133,9 @@ class TestDistanceKernel:
     @example(graph_on(1, []))
     @example(graph_on(4, []))
     @example(graph_on(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+    # A triangle beside a 70-node path: the triangle's columns finish at
+    # level 2 on an empty sphere, each path column after its farthest source.
+    @example(graph_on(73, [(0, 1), (1, 2), (2, 0)] + [(v, v + 1) for v in range(3, 72)]))
     def test_matches_networkx_and_queue_bfs(self, g):
         assert_distances_match_oracles(g)
 
@@ -239,6 +252,31 @@ class TestEvaluateTrace:
         if finite:
             assert last.diameter == max(finite)
             assert last.avg_distance == pytest.approx(sum(finite) / len(finite))
+
+
+class TestHorizonMemo:
+    """Rows evaluated through one shared ``horizons`` dict equal the rows
+    of fresh calls, and a repeated horizon is evaluated once."""
+
+    @staticmethod
+    def shared_and_fresh(traces):
+        horizons = {}
+        shared = [evaluate_trace(t, include_initial=True, horizons=horizons) for t in traces]
+        assert shared == [evaluate_trace(t, include_initial=True) for t in traces]
+        return shared, horizons
+
+    def test_ic_p1_and_si_beta1_from_one_seed(self, karate):
+        # Both are breadth-first layers from the seed: the si rows reuse
+        # every horizon the ic rows added.
+        traces = [run_ic(karate, "2", ModelParams(1.0)),
+                  run_si(karate, "2", ModelParams(si_beta=1.0))]
+        shared, horizons = self.shared_and_fresh(traces)
+        assert len(shared[1]) == len(shared[0]) == len(horizons) == 4
+
+    def test_karate_ic_runs(self, karate):
+        traces = [run_ic(karate, "2", ModelParams(0.05), run_index=r) for r in range(20)]
+        shared, horizons = self.shared_and_fresh(traces)
+        assert len(horizons) < sum(map(len, shared))
 
 
 class TestSummarizeSpeed:
