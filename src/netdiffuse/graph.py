@@ -81,19 +81,24 @@ class Adjacency(NamedTuple):
 
     def induced(self, members: Sequence[int] | np.ndarray) -> Adjacency:
         """Rows and columns of ``members``, renumbered in ascending order:
-        exactly the edges with both ends among the members. Raises
-        UnknownNodeError for a member outside 0 .. node_count - 1."""
+        exactly the edges with both ends among the members, read from the
+        members' rows alone; every node gives this adjacency itself.
+        Raises UnknownNodeError for a member outside 0 .. node_count - 1."""
         keep = sorted_unique(np.asarray(members, dtype=np.int64))
         if len(keep) and (keep[0] < 0 or keep[-1] >= self.node_count):
             bad = keep[0] if keep[0] < 0 else keep[-1]
             raise UnknownNodeError(f"no node with index {bad}")
+        if len(keep) == self.node_count:
+            return self
         new_index = np.full(self.node_count, -1, dtype=np.int64)
         new_index[keep] = np.arange(len(keep))
-        sources = new_index[self.sources()]
-        targets = new_index[self.indices]
-        inside = (sources >= 0) & (targets >= 0)
-        # Renumbering keeps the order, so the keys still ascend.
-        return Adjacency.from_keys(sources[inside] * len(keep) + targets[inside], len(keep))
+        # Renumbering keeps the order, so each row still ascends.
+        targets = new_index[self.rows(keep)]
+        inside = targets >= 0
+        sources = np.repeat(np.arange(len(keep)), self.indptr[keep + 1] - self.indptr[keep])
+        indptr = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources[inside], minlength=len(keep)), out=indptr[1:])
+        return Adjacency(indptr, targets[inside])
 
 
 @dataclass(frozen=True, eq=False)

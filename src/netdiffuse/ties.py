@@ -59,17 +59,32 @@ The rows are ORed into packed n-by-n/8 bit rows a slice of strong ties
 at a time, and unpacked into the CSR a block of rows at a time, so no
 (ties x n) unpacking, gather of all N(w) or n-by-n matrix exists whole.
 
-Both builds keep every temporary bounded. When glibc frees a block of
-128 KiB or more it raises its mmap threshold to that size, so later
-arrays of that size come from the heap and stay resident: one large
-temporary lifts the process's peak memory for the rest of the run.
+The dump writes a slice of rows at a time. Sorted by label rank, a
+slice is laid out as one fixed-width byte matrix of at most
+``_DUMP_BYTES`` bytes, or one row when a row alone is wider: each label's
+CSV field and each term right-aligned in a column of the widest one's
+width, ``_PAD`` (a byte no UTF-8 text holds) before it, and the commas,
+the point and the newline at fixed places. Terms take 4-digit groups
+from two lookup tables, one zero-padded and one bare, so any int64
+fits. ``phi`` lies in [0, 1] and is written as ``d.dddddd`` from
+``np.rint(phi * 1e6)``, which rounds as ``"%.6f"`` does except where
+``phi * 1e6`` lies within 1e-6 of a half-integer (the product itself is
+off by at most 6e-11): those entries take the digits of ``"%.6f"``.
+Deleting the padding leaves the slice's text, written with one
+``stream.write``.
+
+Both builds and the dump keep every temporary bounded. When glibc
+frees a block of 128 KiB or more it raises its mmap threshold to that
+size, so later arrays of that size come from the heap and stay
+resident: one large temporary lifts the process's peak memory for the
+rest of the run.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -101,6 +116,10 @@ _EDGE_SLICE = 1024  # edges per popcount slice of the common-neighbor counts
 _BLOCK_CELLS = 1 << 15  # block cells per chunk of the term kernel
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer below this exactly
 _UNPACK_CELLS = 1 << 16  # bytes per unpacked slice of the reach build
+_DUMP_BYTES = 1 << 16  # bytes per row matrix of the tie-table dump
+_PAD = 0xFF  # filler byte of the dump's row matrix: no UTF-8 text holds it
+_PAD_BYTE = bytes([_PAD])
+_PAD_WORD = _PAD * 0x0101_0101  # four filler bytes
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
@@ -319,25 +338,101 @@ def _csv_fields(labels: Sequence[str]) -> list[str]:
     return fields
 
 
+@cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0 .. 9999 as '<u4' words, four bytes in reading
+    order: zero-padded, and bare (``_PAD`` for each leading zero, 0 as
+    "0"). Built on the first dump, not at import."""
+    values = np.arange(10_000)[:, None]
+    padded = (values // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    bare = np.where(values >= np.array([1000, 100, 10, 0]), padded, np.uint8(_PAD))
+    return padded.view("<u4").ravel(), bare.view("<u4").ravel()
+
+
+def _write_digits(out: np.ndarray, values: np.ndarray, padded: np.ndarray, bare: np.ndarray) -> None:
+    """Write each non-negative int64 of ``values`` (R, C) into ``out``
+    (R, C, 4 * groups) uint8 as right-aligned decimal digits, ``_PAD``
+    before the first digit: one 4-digit group of the tables at a time,
+    from the last. ``groups`` must cover the largest value."""
+    words = out.view("<u4")
+    last = words.shape[-1] - 1
+    rest = values
+    for g in range(last, -1, -1):
+        above = rest // 10_000
+        low = rest - 10_000 * above
+        # Bare digits lead a number; a group after them keeps its zeros.
+        word = np.where(above > 0, padded[low], bare[low]) if g else bare[low]
+        if g < last:
+            # A group above the leading digit is all padding.
+            word[rest == 0] = _PAD_WORD
+        words[..., g] = word
+        rest = above
+
+
+def _label_matrix(labels: Sequence[str]) -> np.ndarray:
+    """Each label's ``_csv_fields`` bytes, right-aligned in a row of the
+    longest field's width and ``_PAD`` before it."""
+    fields = [field.encode("utf-8", "surrogatepass") for field in _csv_fields(labels)]
+    lengths = np.array([len(field) for field in fields], dtype=np.int64)
+    width = int(lengths.max(initial=0))
+    out = np.full((len(fields), width), _PAD, dtype=np.uint8)
+    # Byte j of field i goes to column width - lengths[i] + j.
+    starts = np.cumsum(lengths) - lengths
+    rows = np.repeat(np.arange(len(fields)), lengths)
+    columns = np.arange(lengths.sum()) + np.repeat(width - lengths - starts, lengths)
+    out[rows, columns] = np.frombuffer(b"".join(fields), dtype=np.uint8)
+    return out
+
+
+def _write_phi(out: np.ndarray, phi: np.ndarray, padded: np.ndarray) -> None:
+    """Write each ``phi`` in [0, 1] into ``out`` (R, 8) as ``"%.6f"`` does,
+    leaving column 1 (the point) alone.
+
+    ``np.rint(phi * 1e6)`` rounds as ``"%.6f"`` does unless ``phi * 1e6``
+    lies near a half-integer, where the product's own rounding can decide
+    the digit: those entries take the digits of ``"%.6f"`` itself.
+    """
+    scaled = phi * 1e6
+    micro = np.rint(scaled).astype(np.int64)
+    out[:, 0] = micro // 1_000_000 + ord("0")
+    out[:, 2:6] = padded[micro // 100 % 10_000].view(np.uint8).reshape(-1, 4)
+    out[:, 6:8] = padded[micro % 100].view(np.uint8).reshape(-1, 4)[:, 2:]
+    near = np.flatnonzero(np.abs(scaled - micro) > 0.5 - 1e-6)
+    if len(near):
+        text = "".join("%.6f" % value for value in phi[near].tolist())
+        out[near] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 8)
+
+
 def dump_tie_table(table: TieStrengthTable, stream: IO[str]) -> None:
-    """Write the debug CSV, one row per ordered edge, sorted by labels."""
+    """Write the debug CSV, one row per ordered edge, sorted by labels, a
+    slice of rows at a time (see the module docstring)."""
     labels = table.graph.labels
-    rank = np.empty(len(labels), dtype=np.int64)
-    rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    n = len(labels)
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=labels.__getitem__)] = np.arange(n)
     sources, targets = table.graph.adjacency.sources(), table.graph.adjacency.indices
     # Labels are unique, so this is the order of the (label_v, label_u) key.
-    order = np.lexsort((rank[targets], rank[sources]))
-    fields = np.array(_csv_fields(labels), dtype=object)
+    order = np.argsort(rank[sources] * n + rank[targets])
     stream.write(",".join(TIE_TABLE_COLUMNS) + "\n")
-    row = "%s,%s,%d,%d,%d,%d,%d,%d,%.6f\n"
-    stream.writelines(
-        map(
-            row.__mod__,
-            zip(
-                fields[sources[order]].tolist(),
-                fields[targets[order]].tolist(),
-                *table.terms[order].T.tolist(),
-                table.phi[order].tolist(),
-            ),
-        )
-    )
+    padded, bare = _digit_words()
+    fields = _label_matrix(labels)
+    label = fields.shape[1]
+    groups = -(-len(str(int(table.terms.max(initial=0)))) // 4)
+    term = 4 * groups + 1
+    # A row: v, u and the six terms, each and its comma, then d.dddddd and "\n".
+    terms_at = 2 * label + 2
+    phi_at = terms_at + 6 * term
+    template = np.full(phi_at + 9, _PAD, dtype=np.uint8)
+    template[[label, terms_at - 1, *range(terms_at + term - 1, phi_at, term)]] = ord(",")
+    template[phi_at + 1], template[-1] = ord("."), ord("\n")
+    step = max(1, _DUMP_BYTES // len(template))
+    for lo in range(0, len(order), step):
+        edges = order[lo : lo + step]
+        block = np.empty((len(edges), len(template)), dtype=np.uint8)
+        block[:] = template
+        block[:, :label] = fields[sources[edges]]
+        block[:, label + 1 : terms_at - 1] = fields[targets[edges]]
+        cells = block[:, terms_at:phi_at].reshape(len(edges), 6, term)
+        _write_digits(cells[..., :-1], table.terms[edges], padded, bare)
+        _write_phi(block[:, phi_at : phi_at + 8], table.phi[edges], padded)
+        stream.write(block.tobytes().translate(None, _PAD_BYTE).decode("utf-8", "surrogatepass"))

@@ -541,9 +541,48 @@ class TestDump:
 
     @settings(max_examples=80, deadline=None)
     @given(labelled_graphs())
+    # Empty labels, with edges and in an edgeless graph (the header alone).
+    @example(graph_from_edges([("", "a"), ("a", "b"), ("b", "")]))
+    @example(graph_from_edges([("", ""), ("a", "a")]))
     def test_matches_row_by_row_oracle(self, g):
         table = build_tie_strength_table(g)
+        # The dump writes phi as d.dddddd.
+        assert ((0 <= table.phi) & (table.phi <= 1)).all()
         assert dumped(table) == dumped(table, oracle_dump)
+
+    def test_dense_graph_with_odd_labels(self):
+        # Terms of 10**4 and more take two digit groups; the labels hold
+        # quotes, commas, a newline, UTF-8, a NUL, a lone surrogate and
+        # one of 300 characters.
+        rng = random.Random(24)
+        odd = ['a,"b"', "é ßж", "x" * 300, "nul\x00", "line\nbreak", "\ud800", "λ'"]
+        names = {str(i): label for i, label in enumerate(odd)}
+        edges = [(names.get(a, a), names.get(b, b)) for a, b in er_edges(260, 0.35, rng)]
+        table = build_tie_strength_table(graph_from_edges(edges))
+        assert table.terms.max() >= 10**4
+        assert dumped(table) == dumped(table, oracle_dump)
+
+    @pytest.mark.parametrize(
+        "rows, budget",
+        [(1, lambda width: 1), (7, lambda width: 7 * width), (7, lambda width: 8 * width - 1)],
+    )
+    def test_slice_boundaries(self, karate, rows, budget):
+        # A row of the matrix: two label fields and six terms, each with
+        # its comma, then d.dddddd and the newline. A budget below one
+        # row still writes one.
+        table = build_tie_strength_table(karate)
+        field = max(len(label.encode()) for label in ties._csv_fields(karate.labels))
+        groups = -(-len(str(table.terms.max())) // 4)
+        width = 2 * (field + 1) + 6 * (4 * groups + 1) + 9
+        writes = []
+        stream = mock.Mock(write=writes.append)
+        with mock.patch.object(ties, "_DUMP_BYTES", budget(width)):
+            dump_tie_table(table, stream)
+        edges = len(karate.adjacency.indices)
+        assert [text.count("\n") for text in writes] == [1] + [rows] * (edges // rows) + (
+            [edges % rows] if edges % rows else []
+        )
+        assert "".join(writes) == dumped(table, oracle_dump)
 
     @pytest.mark.parametrize("name", sorted(TIE_TABLE_SHA256))
     def test_bundled_datasets_byte_identical(self, name):
@@ -552,3 +591,24 @@ class TestDump:
         dump_tie_table(build_tie_strength_table(g), buf)
         digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
         assert digest == TIE_TABLE_SHA256[name]
+
+
+class TestPhiDigits:
+    """The dump's phi digits against ``"%.6f"``."""
+
+    @staticmethod
+    def check(phi):
+        phi = np.asarray(phi, dtype=np.float64)
+        out = np.full((len(phi), 8), ord("."), dtype=np.uint8)
+        ties._write_phi(out, phi, ties._digit_words()[0])
+        assert out.tobytes().decode("ascii") == "".join("%.6f" % x for x in phi.tolist())
+
+    def test_crafted(self):
+        # Ends of the range, exact halves (2**-7 * 1e6 = 7812.5) and values
+        # whose product with 1e6 lies within an ulp of a half-integer.
+        self.check([0.0, 1.0, 2**-7, 1.5e-6, 0.9999995, np.nextafter(0.9999995, 0), 2.5e-6])
+
+    def test_random_ratios(self):
+        rng = np.random.default_rng(24)
+        m = rng.integers(1, np.tile([2**12, 10**6], 100_000))
+        self.check(rng.integers(0, m + 1) / m)
