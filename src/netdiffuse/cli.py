@@ -12,8 +12,8 @@ joined into one.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
+import warnings
 from contextlib import nullcontext
 
 from .errors import ConfigError, GraphError
@@ -30,10 +30,6 @@ from .models import ModelParams
 from .ties import build_tie_strength_table, dump_tie_table
 
 __all__ = ["main", "build_parser"]
-
-# Not __name__: that is "__main__" under `python -m netdiffuse.cli`.
-logger = logging.getLogger("netdiffuse.cli")
-
 
 # The model flags each model reads; `run` warns about any other one given.
 MODEL_FLAGS = {
@@ -109,14 +105,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     ignored = [flag for flag in given if flag not in MODEL_FLAGS[config.model]]
     if ignored:
-        logger.warning("model %s ignores %s", config.model, ", ".join(ignored))
+        warnings.warn(f"model {config.model} ignores {', '.join(ignored)}")
     report = run_experiment(config)
     with _out_stream(args.out) as fh:
         write_report_csv(report, fh)
     traces = report.results[config.model].traces
     truncated = sum(trace.truncated for trace in traces)
     if truncated:
-        logger.warning("%d of %d runs stopped with nodes unreached", truncated, len(traces))
+        warnings.warn(f"{truncated} of {len(traces)} runs stopped with nodes unreached")
     return 0
 
 
@@ -143,40 +139,26 @@ _COMMANDS = {
 }
 
 
-class _Warnings(logging.Handler):
-    """Keeps the package's log warnings for one stderr line."""
-
-    def __init__(self) -> None:
-        super().__init__(logging.WARNING)
-        self.messages: list[str] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.messages.append(record.getMessage())
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    package_log = logging.getLogger("netdiffuse")
-    warnings = _Warnings()
-    package_log.addHandler(warnings)
-    package_log.propagate = False
-    try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
+    # "always" also overrides `python -W error`, which would make a warning a traceback.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            args = parser.parse_args(argv)
+            if args.command is None:
+                parser.print_usage(sys.stderr)
+                return 1
+            code = _COMMANDS[args.command](args)
+        except ConfigError as exc:
+            print(f"netdiffuse: {exc}", file=sys.stderr)
             return 1
-        code = _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"netdiffuse: {exc}", file=sys.stderr)
-        return 1
-    except (GraphError, OSError) as exc:
-        print(f"netdiffuse: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        package_log.removeHandler(warnings)
-        package_log.propagate = True
-    if warnings.messages:
-        print("netdiffuse: warning: " + "; ".join(warnings.messages), file=sys.stderr)
+        except (GraphError, OSError) as exc:
+            print(f"netdiffuse: {exc}", file=sys.stderr)
+            return 2
+    if caught:
+        messages = "; ".join(str(w.message) for w in caught)
+        print(f"netdiffuse: warning: {messages}", file=sys.stderr)
     return code
 
 

@@ -10,6 +10,7 @@ functions here are pure and the graph is safe to share between threads.
 from __future__ import annotations
 
 import io
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -185,20 +186,16 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 def graph_from_edges(pairs: Iterable[tuple[str, str]]) -> Graph:
     """Build a graph from label pairs, dropping self loops and duplicates.
 
-    Node indices follow first appearance of each label in the pair stream.
+    Node indices follow first appearance of each label in the pair stream,
+    from one ``dict.setdefault`` pass that consumes the pairs as they
+    come, so no list of them is built.
     """
-    return _graph_from_tokens(token for a, b in pairs for token in (a, b))
-
-
-def _graph_from_tokens(tokens: Iterable[str]) -> Graph:
-    """The graph of the edges (first token, second token), (third, fourth),
-    ...; ids follow first appearance, from one ``dict.setdefault`` pass
-    that consumes the tokens as they come, so no list of them is built."""
     index_of: dict[str, int] = {}
-    ends = np.fromiter(
-        (index_of.setdefault(token, len(index_of)) for token in tokens), dtype=np.int64
-    )
-    v, u = ends.reshape(-1, 2).T
+    ends = array("q")
+    for a, b in pairs:
+        ends.append(index_of.setdefault(a, len(index_of)))
+        ends.append(index_of.setdefault(b, len(index_of)))
+    v, u = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2).T
     n = len(index_of)
     # Both orientations of each edge but a self loop, each once, ascending.
     keys = np.concatenate([v * n + u, u * n + v])[np.tile(v != u, 2)]
@@ -229,13 +226,13 @@ def load_edge_list(source: IO[bytes] | IO[str]) -> Graph:
     EdgeListParseError for the first offending line, before any later
     line is read, or EmptyInputError if no edges survive.
     """
-    g = _graph_from_tokens(_edge_tokens(source))
+    g = graph_from_edges(_edge_pairs(source))
     if g.edge_count == 0:
         raise EmptyInputError("edge list contains no usable edges")
     return g
 
 
-def _edge_tokens(source: IO[bytes] | IO[str]) -> Iterator[str]:
+def _edge_pairs(source: IO[bytes] | IO[str]) -> Iterator[list[str]]:
     """The two tokens of each edge line of ``source``, line by line."""
     for line_number, line in numbered_lines(source):
         fields = line.split()
@@ -245,7 +242,7 @@ def _edge_tokens(source: IO[bytes] | IO[str]) -> Iterator[str]:
             raise EdgeListParseError(
                 f"expected two tokens, got {len(fields)}: {line.strip()!r}", line_number
             )
-        yield from fields
+        yield fields
 
 
 def load_edge_list_path(path: str | Path) -> Graph:

@@ -98,6 +98,19 @@ def assert_reach_rows_match(g, table, oracle):
         assert set(row.tolist()) == oracle.activate(v, {v}), v
 
 
+def one_hop_arcs_in_two_hop_balls(g, table):
+    """The reach arcs that join neighbors, after checking that every reach
+    arc (v, u) has u in v's two-hop ball: N(v) and N(N(v)), minus v."""
+    nbrs = neighbor_sets(g)
+    one_hop = 0
+    for v in range(g.node_count):
+        row = set(reach_row(table, v).tolist())
+        ball = nbrs[v].union(*(nbrs[w] for w in nbrs[v])) - {v}
+        assert row <= ball, (v, row - ball)
+        one_hop += len(row & nbrs[v])
+    return one_hop
+
+
 def assert_cascade_matches(g, table, oracle, seed, max_iterations=None):
     trace = run_cns(g, seed, table=table, max_iterations=max_iterations)
     rounds, truncated = oracle.run(seed, max_iterations)
@@ -133,6 +146,11 @@ class TestReachRows:
         table = build_tie_strength_table(g)
         with mock.patch.object(ties, "_UNPACK_CELLS", cells):
             assert_reach_rows_match(g, table, SetCascade(g, table))
+
+    @settings(max_examples=80, deadline=None)
+    @given(cascade_graphs)
+    def test_rows_lie_in_two_hop_balls(self, g):
+        one_hop_arcs_in_two_hop_balls(g, build_tie_strength_table(g))
 
     def test_isolated_node_reaches_nothing(self):
         g = graph_from_edges([("a", "a"), ("b", "c")])  # a is isolated
@@ -211,6 +229,17 @@ REACH_ARCS = {"karate": 283, "lesmis": 744, "jazz": 16_677, "polblogs": 85_012}
 def test_dataset_reach_rows(dataset_tables, name):
     assert_reach_rows_match(*dataset_tables[name])
     assert len(dataset_tables[name][1].reach.indices) == REACH_ARCS[name]
+
+
+# The share of reach arcs that join neighbors; the rest skip a hop.
+ONE_HOP_SHARE = {"karate": 0.48, "lesmis": 0.66, "jazz": 0.31, "polblogs": 0.21}
+
+
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_dataset_reach_lies_in_two_hop_balls(dataset_tables, name):
+    g, table, _ = dataset_tables[name]
+    one_hop = one_hop_arcs_in_two_hop_balls(g, table)
+    assert round(one_hop / REACH_ARCS[name], 2) == ONE_HOP_SHARE[name]
 
 
 @pytest.mark.parametrize("name", DATASET_NAMES)

@@ -17,11 +17,12 @@ one draw, so those scores are printed (``pytest -s``), never asserted.
 from __future__ import annotations
 
 from decimal import ROUND_DOWN, Decimal
+from pathlib import Path
 
 import pytest
 
 from netdiffuse import golden, harness
-from netdiffuse.harness import parse_seeds_file, reproduce_paper
+from netdiffuse.harness import DATASET_NAMES, MODELS, parse_seeds_file, reproduce_paper
 from netdiffuse.metrics import format_cell
 
 # (dataset, model): (least matched points, the misses allowed; None: any)
@@ -126,3 +127,33 @@ def test_report_other_scores(scores):
         if (dataset, model) not in FLOORS:
             print(f"fidelity {dataset} {model}: {matched}/{points}")
     assert set(scores) == set(golden.FIG2_ITERATIONS)
+
+
+def paper_speed_and_outspread(dataset):
+    """The final coverage, the coverage after round 2 and the round count
+    of the paper's cns, ic and si on one network, as README table cells."""
+    coverage = [dict(golden.SERIES[("fig3", dataset, model)]) for model in MODELS]
+    columns = (
+        [series[max(series)] for series in coverage],
+        [series[2] for series in coverage],
+        [golden.FIG2_ITERATIONS[(dataset, model)] for model in MODELS],
+    )
+    return [dataset, *(" / ".join(map(str, column)) for column in columns)]
+
+
+def test_readme_quotes_the_papers_speed_and_outspread():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("## The paper's speed and outspread") + 1
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("## "))
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in lines[start:end]
+        if line.startswith("| ")
+    ]
+    models = " / ".join(MODELS)
+    assert rows[0] == [
+        "dataset", f"final coverage, {models}", f"coverage after round 2, {models}",
+        f"rounds, {models}",
+    ]
+    assert rows[1:] == [paper_speed_and_outspread(dataset) for dataset in DATASET_NAMES]

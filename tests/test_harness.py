@@ -341,7 +341,8 @@ class TestReproduce:
             (tmp_path / f"{name}.txt").write_text("a b\nb c\n", encoding="utf-8")
         (tmp_path / "jazz.txt").write_bytes(jazz)
         seeds = dict.fromkeys(DATASET_NAMES, "a")
-        with pytest.raises(error) as exc:
+        # karate and lesmis load before jazz fails; their sizes differ from the registry
+        with pytest.raises(error) as exc, pytest.warns(UserWarning, match="registry expects"):
             reproduce_paper(tmp_path, tmp_path / "out", seeds)
         assert str(exc.value) == f"dataset jazz: {message}"
         seeds_file = tmp_path / "seeds.txt"
@@ -514,6 +515,7 @@ class TestCli:
             ("cns", ["--si-beta", "0.1", "--ic-p", "0.2", "--rng-seed", "7"],
              "--ic-p, --si-beta, --rng-seed"),
             ("ic", ["--si-beta", "0.1", "--rng-seed", "7"], "--si-beta"),
+            ("si", ["--ic-p", "0.2", "--rng-seed", "7"], "--ic-p"),
         ],
     )
     def test_flags_the_model_does_not_read_warn(
@@ -764,24 +766,31 @@ class TestCliRobustness:
         _assert_clean_exit(code, err)
 
 
+def _spawn_cli(*args, python_flags=()):
+    """The finished ``python [python_flags] -m netdiffuse.cli args`` process
+    in a fresh interpreter on this package, its output captured as text."""
+    src = str(Path(netdiffuse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "netdiffuse.cli", *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
 def test_reproduce_on_resized_datasets_prints_one_line(tmp_path):
     """Datasets whose sizes differ from the registry give one stderr line.
 
-    Runs the CLI in a fresh interpreter: under pytest the root logger has
-    handlers, which would hide log records that reach stderr in a real run.
+    Runs the CLI in a fresh interpreter, as a user does: stderr is then
+    exactly what the process writes, with no test-runner capture between.
     """
     for name in DATASET_NAMES:
         (tmp_path / f"{name}.txt").write_text("a b\nb c\n", encoding="utf-8")
     seeds = tmp_path / "seeds.txt"
     seeds.write_text("karate=a\nlesmis=a\njazz=b\npolblogs=c\n", encoding="utf-8")
-    src = str(Path(netdiffuse.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "netdiffuse.cli", "reproduce", "--data-dir", str(tmp_path),
-         "--out-dir", str(tmp_path / "out"), "--seeds", str(seeds)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
+    result = _spawn_cli(
+        "reproduce", "--data-dir", tmp_path, "--out-dir", tmp_path / "out", "--seeds", seeds
     )
     assert result.returncode == 0
     assert result.stderr.splitlines() == [
@@ -791,3 +800,14 @@ def test_reproduce_on_resized_datasets_prints_one_line(tmp_path):
         "dataset jazz: loaded 3 nodes / 2 edges, registry expects 198 / 2742; "
         "dataset polblogs: loaded 3 nodes / 2 edges, registry expects 1224 / 16718"
     ]
+
+
+def test_warnings_as_errors_still_print_one_line(data_dir, tmp_path):
+    """Under ``python -W error`` a command's warning is still its one
+    stderr line, not a traceback."""
+    result = _spawn_cli(
+        "run", "--graph", data_dir / "karate.txt", "--model", "cns", "--ic-p", "0.2",
+        "--seed-node", "2", "--out", tmp_path / "cns.csv", python_flags=["-W", "error"],
+    )
+    assert result.returncode == 0
+    assert result.stderr == "netdiffuse: warning: model cns ignores --ic-p\n"

@@ -58,7 +58,8 @@ def test_negative_entropy_rejected(entropy):
 
 def test_commands_do_not_import_numpy_random(data_dir, tmp_path):
     """No command imports numpy.random, whose import pulls in ``secrets``
-    and OpenSSL's libcrypto through ``_hashlib``."""
+    and OpenSSL's libcrypto through ``_hashlib``. Nor ``logging``: the
+    commands' warnings go through ``warnings``."""
     code = (
         "import sys\n"
         "from netdiffuse.cli import main\n"
@@ -71,6 +72,7 @@ def test_commands_do_not_import_numpy_random(data_dir, tmp_path):
         "             '--runs', '3', '--seed-node', '2', '--out', out + '/ic.csv']) == 0\n"
         "assert main(['tie-table', '--graph', data + '/polblogs.txt',\n"
         "             '--out', out + '/ties.csv']) == 0\n"
-        "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules))"
+        "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib', 'logging')\n"
+        "             if m in sys.modules))"
     )
     assert run_python(code, data_dir, tmp_path).splitlines()[-1] == "[]"
