@@ -12,9 +12,10 @@ joined into one.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from .errors import ConfigError, GraphError
 from .graph import load_edge_list_path
@@ -84,9 +85,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_stream(target: str):
-    if target == "-":
-        return nullcontext(sys.stdout)
-    return open(target, "w", encoding="utf-8", newline="")
+    """The text stream of an output file, or of stdout for ``-``. Stdout
+    is written as UTF-8 whatever its own encoding, so ``-`` gives the
+    bytes of a file and a label the console's encoding lacks is no error;
+    a path's undecodable bytes go out as they came in."""
+    if target != "-":
+        return open(target, "w", encoding="utf-8", newline="")
+    if not hasattr(sys.stdout, "buffer"):
+        return nullcontext(sys.stdout)  # a text-only stdout, such as io.StringIO
+    return _stdout_utf8()
+
+
+@contextmanager
+def _stdout_utf8():
+    sys.stdout.flush()
+    stream = io.TextIOWrapper(
+        sys.stdout.buffer, encoding="utf-8", errors="surrogateescape", newline=""
+    )
+    try:
+        yield stream
+    finally:
+        # Leave stdout's buffer open for whatever writes after.
+        stream.flush()
+        stream.detach()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -119,8 +140,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     seeds = parse_seeds_file(args.seeds) if args.seeds else {}
     written = reproduce_paper(args.data_dir, args.out_dir, seeds)
-    for path in written:
-        print(path)
+    with _out_stream("-") as fh:
+        fh.writelines(f"{path}\n" for path in written)
     return 0
 
 

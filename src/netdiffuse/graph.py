@@ -13,6 +13,7 @@ import io
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -206,8 +207,14 @@ def numbered_lines(stream: Iterable[bytes] | Iterable[str]) -> Iterator[tuple[in
     """``(line number, text)`` for each line of an open stream, numbered
     from 1 and read as the stream yields it, so a line ends at ``\\n``
     only. A bytes line is decoded as UTF-8; EdgeListParseError names the
-    first line that is not."""
-    for number, line in enumerate(stream, start=1):
+    first line that is not. A UTF-8 byte-order mark before line 1 is
+    dropped; U+FEFF anywhere else is text."""
+    lines = iter(stream)
+    first = next(lines, None)
+    if first is None:
+        return
+    first = first.removeprefix(b"\xef\xbb\xbf" if isinstance(first, bytes) else "\ufeff")
+    for number, line in enumerate(chain([first], lines), start=1):
         if isinstance(line, bytes):
             try:
                 line = line.decode("utf-8")

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, GraphError, InactiveNodeError, UnknownNodeError
 from .graph import Adjacency, Graph, sorted_unique
-from .ties import TieStrengthTable, build_tie_strength_table
+from .ties import TieStrengthTable, build_tie_strength_table, reach_digraph
 
 __all__ = [
     "ModelParams",
@@ -163,11 +163,16 @@ def run_cns(
     """Deterministic strong-tie cascade from one seed label: the
     independent cascade at p = 1 on the reach digraph, so a round
     activates the reach rows of the last round's activations, minus the
-    active set. Raises GraphError for a table built for another graph."""
+    active set. Raises GraphError for a table built for another graph.
+
+    Without a table, only the strong-tie mask of a fresh one outlives
+    its build: its scores are freed before the reach is built."""
     s = g.index(seed)
     if table is None:
-        table = build_tie_strength_table(g)
-    return _spread(g, s, _reach(g, table), max_iterations)
+        reach = reach_digraph(g, build_tie_strength_table(g).strong)
+    else:
+        reach = _reach(g, table)
+    return _spread(g, s, reach, max_iterations)
 
 
 _MASK32 = 2**32 - 1

@@ -77,7 +77,12 @@ Both builds and the dump keep every temporary bounded. When glibc
 frees a block of 128 KiB or more it raises its mmap threshold to that
 size, so later arrays of that size come from the heap and stay
 resident: one large temporary lifts the process's peak memory for the
-rest of the run.
+rest of the run. So memory is released in the order the strong-tie
+cascade stops needing it: ``marked`` and the last chunk's blocks go
+before rho, phi and the strong-tie mask are formed; ``run_cns`` without
+a table keeps only that mask, so ``terms``, ``phi`` and ``row_max`` go
+before the reach allocates; and the reach fills one index array block
+by block instead of concatenating a list of blocks beside it.
 """
 from __future__ import annotations
 
@@ -97,6 +102,7 @@ __all__ = [
     "contributors",
     "build_tie_strength_table",
     "dump_tie_table",
+    "reach_digraph",
 ]
 
 TIE_TABLE_COLUMNS = (
@@ -180,45 +186,9 @@ class TieStrengthTable:
 
     @cached_property
     def reach(self) -> Adjacency:
-        """The reach digraph: row v is what an active v activates.
-
-        See the module docstring for the three parts of a row. Built on
-        first use from the graph's packed adjacency rows.
-        """
-        n = self.graph.node_count
-        rows = self.graph.bits
-        sources = self.graph.adjacency.sources()[self.strong]
-        targets = self.graph.adjacency.indices[self.strong]
-        packed = np.zeros_like(rows)
-        # Ties per slice and rows per block: each unpacks to at most
-        # _UNPACK_CELLS bytes.
-        step = max(1, _UNPACK_CELLS // max(n, 1))
-        for lo in range(0, len(sources), step):
-            source, target = sources[lo : lo + step], targets[lo : lo + step]
-            common = rows[source] & rows[target]
-            # The common neighbors w of each strong tie, tie by tie.
-            tie, w = np.divmod(np.flatnonzero(_unpack(common, n)), n)
-            counts = np.bincount(tie, minlength=len(source))
-            # reduceat gives an empty segment its start element: skip those ties.
-            has = counts > 0
-            span = np.zeros_like(common)
-            if has.any():
-                starts = (np.cumsum(counts) - counts)[has]
-                span[has] = np.bitwise_or.reduceat(rows[w], starts, axis=0)
-            span &= rows[source] | rows[target]
-            span |= common
-            np.bitwise_or.at(packed, source, span)
-        # Each strong tie and its reverse. A span can hold its own tie's
-        # source, as a neighbor of some w: no row keeps its own node.
-        for v, u in ((sources, targets), (targets, sources)):
-            np.bitwise_or.at(packed, (v, u >> 3), (1 << (u & 7)).astype(np.uint8))
-        nodes = np.arange(n)
-        packed[nodes, nodes >> 3] &= ~(1 << (nodes & 7)).astype(np.uint8)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bitwise_count(packed.view(np.uint64)).sum(axis=1), out=indptr[1:])
-        blocks = range(0, n, step)
-        indices = [np.flatnonzero(_unpack(packed[lo : lo + step], n)) % n for lo in blocks]
-        return Adjacency(indptr, np.concatenate(indices) if indices else indptr[:0])
+        """The reach digraph of the strong ties (``reach_digraph``),
+        built on first use."""
+        return reach_digraph(self.graph, self.strong)
 
     def edge(self, v: int, u: int) -> int:
         """Index of the ordered edge (v, u) in the edge arrays; raises
@@ -227,6 +197,53 @@ class TieStrengthTable:
 
     def contributor_members(self, v: int, u: int) -> frozenset[int]:
         return contributors(self.graph, v, u)
+
+
+def reach_digraph(g: Graph, strong: np.ndarray) -> Adjacency:
+    """The reach digraph of the strong ties ``strong``, a mask over
+    ``g.adjacency``: row v is what an active v activates.
+
+    See the module docstring for the three parts of a row. Built from the
+    graph's packed adjacency rows.
+    """
+    n = g.node_count
+    rows = g.bits
+    sources = g.adjacency.sources()[strong]
+    targets = g.adjacency.indices[strong]
+    packed = np.zeros_like(rows)
+    # Ties per slice and rows per block: each unpacks to at most
+    # _UNPACK_CELLS bytes.
+    step = max(1, _UNPACK_CELLS // max(n, 1))
+    for lo in range(0, len(sources), step):
+        source, target = sources[lo : lo + step], targets[lo : lo + step]
+        common = rows[source] & rows[target]
+        # The common neighbors w of each strong tie, tie by tie.
+        tie, w = np.divmod(np.flatnonzero(_unpack(common, n)), n)
+        counts = np.bincount(tie, minlength=len(source))
+        # reduceat gives an empty segment its start element: skip those ties.
+        has = counts > 0
+        span = np.zeros_like(common)
+        if has.any():
+            starts = (np.cumsum(counts) - counts)[has]
+            span[has] = np.bitwise_or.reduceat(rows[w], starts, axis=0)
+        span &= rows[source] | rows[target]
+        span |= common
+        np.bitwise_or.at(packed, source, span)
+    # Each strong tie and its reverse. A span can hold its own tie's
+    # source, as a neighbor of some w: no row keeps its own node.
+    for v, u in ((sources, targets), (targets, sources)):
+        np.bitwise_or.at(packed, (v, u >> 3), (1 << (u & 7)).astype(np.uint8))
+    nodes = np.arange(n)
+    packed[nodes, nodes >> 3] &= ~(1 << (nodes & 7)).astype(np.uint8)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bitwise_count(packed.view(np.uint64)).sum(axis=1), out=indptr[1:])
+    # Each block of rows fills its own stretch of the indices in place.
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = np.flatnonzero(_unpack(packed[lo:hi], n))
+        np.remainder(block, n, out=indices[indptr[lo] : indptr[hi]])
+    return Adjacency(indptr, indices)
 
 
 def _marked_dtype(top: int) -> np.dtype:
@@ -262,26 +279,16 @@ def _degree_chunks(degree: np.ndarray) -> Iterator[np.ndarray]:
         start = stop
 
 
-def build_tie_strength_table(g: Graph) -> TieStrengthTable:
-    """Score both orientations of every edge, one chunk of blocks at a time.
-
-    Row maxima are not tie-broken: every co-maximal neighbor of a node
-    enters the strong-tie set.
-    """
+def _fill_block_terms(g: Graph, sources: np.ndarray, terms: np.ndarray, top: int) -> None:
+    """Write term_v_side .. term_ww of every edge into ``terms``, one
+    chunk of blocks at a time, from the common-neighbor counts in
+    ``terms[:, 0]``, of which none exceeds ``top``. ``marked`` and the
+    last chunk's blocks are freed on return."""
     indptr, indices = g.adjacency
-    sources = g.adjacency.sources()
     n = g.node_count
-    words = g.bits.view(np.uint64)
-    terms = np.zeros((len(indices), 6), dtype=np.int64)
-    cn = terms[:, 0]
-    for lo in range(0, len(indices), _EDGE_SLICE):
-        edges = slice(lo, lo + _EDGE_SLICE)
-        common = words[sources[edges]] & words[indices[edges]]
-        cn[edges] = np.bitwise_count(common).sum(axis=1)
-    top = int(cn.max(initial=0))
     # cn + 1 on every edge, 0 elsewhere; row and column n pad the blocks.
     marked = np.zeros((n + 1, n + 1), dtype=_marked_dtype(top))
-    marked[sources, indices] = cn + 1
+    marked[sources, indices] = terms[:, 0] + 1
     flat = marked.ravel()
 
     degree = np.diff(indptr)
@@ -308,9 +315,28 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
         )
         terms[position, 1:_RHO] = block_terms[filled]
 
+
+def build_tie_strength_table(g: Graph) -> TieStrengthTable:
+    """Score both orientations of every edge, one chunk of blocks at a time.
+
+    Row maxima are not tie-broken: every co-maximal neighbor of a node
+    enters the strong-tie set.
+    """
+    indptr, indices = g.adjacency
+    sources = g.adjacency.sources()
+    words = g.bits.view(np.uint64)
+    terms = np.zeros((len(indices), 6), dtype=np.int64)
+    cn = terms[:, 0]
+    for lo in range(0, len(indices), _EDGE_SLICE):
+        edges = slice(lo, lo + _EDGE_SLICE)
+        common = words[sources[edges]] & words[indices[edges]]
+        cn[edges] = np.bitwise_count(common).sum(axis=1)
+    _fill_block_terms(g, sources, terms, int(cn.max(initial=0)))
+
     # A pair without common neighbors scores 1 iff an endpoint is a leaf.
+    degree = np.diff(indptr)
     lone = (degree[sources] == 1) | (degree[indices] == 1)
-    rho = np.where(terms[:, 0] > 0, terms[:, :_RHO].sum(axis=1), lone)
+    rho = np.where(cn > 0, terms[:, :_RHO].sum(axis=1), lone)
     terms[:, _RHO] = rho
     row_max = np.zeros(g.node_count, dtype=np.int64)
     np.maximum.at(row_max, sources, rho)

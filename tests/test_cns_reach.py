@@ -9,6 +9,7 @@ with the bitset kernel behind ``TieStrengthTable.reach``.
 from __future__ import annotations
 
 import random
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdiffuse import ties
+from netdiffuse import models, ties
 from netdiffuse.graph import Adjacency, graph_from_edges, load_edge_list_path
 from netdiffuse.harness import DATASET_NAMES
 from netdiffuse.models import cns_activate, run_cns
@@ -175,16 +176,47 @@ class TestReachRows:
         assert "reach" in vars(table)
 
     def test_polblogs_memory(self):
-        # Measured 1.5 MiB; 3.1 with the (ties x n) unpacking, the gather
-        # of every common neighbor's row and the n-by-n rows built whole.
-        table = build_tie_strength_table(load_edge_list_path(DATA_DIR / "polblogs.txt"))
-        _, peak = traced_peak_mib(lambda: table.reach)
+        # Measured 1.06 MiB; 1.53 with the index blocks concatenated, 3.1
+        # with the (ties x n) unpacking, the gather of every common
+        # neighbor's row and the n-by-n rows built whole.
+        g = load_edge_list_path(DATA_DIR / "polblogs.txt")
+        table = build_tie_strength_table(g)
+        reach, peak = traced_peak_mib(lambda: table.reach)
         assert peak < 1.8
+        # Each block of rows fills its stretch of the indices in place, so
+        # beyond the CSR and its packed rows only one block's unpacking is
+        # alive: measured 0.22 MiB over. Concatenating a list of blocks
+        # held them all beside the result, more than the indices' own
+        # bytes (0.69 MiB over, with 0.65 MiB of indices).
+        own = reach.indptr.nbytes + reach.indices.nbytes + g.bits.nbytes
+        assert peak - own / 2**20 < reach.indices.nbytes / 2**20 / 2
+
+    def test_run_cns_frees_scores_before_reach(self, karate):
+        # Without a table, run_cns keeps only the strong-tie mask of the
+        # one it builds: no score table is alive while the reach is built.
+        tables = []
+
+        def build(g):
+            table = build_tie_strength_table(g)
+            tables.append(weakref.ref(table))
+            return table
+
+        alive = []
+
+        def reach(g, strong):
+            alive.extend(table() is not None for table in tables)
+            return ties.reach_digraph(g, strong)
+
+        with mock.patch.object(models, "build_tie_strength_table", build), \
+                mock.patch.object(models, "reach_digraph", reach):
+            run_cns(karate, "2")
+        assert alive == [False]
 
     def test_polblogs_cascade_memory(self):
         # Tie build, reach and cascade together from a freshly loaded
-        # graph: measured 5.2 MiB, 7.5 before the reach and tie kernel
-        # kept their temporaries bounded.
+        # graph: measured 4.7 MiB, 5.2 while the tie kernel's ``marked``
+        # outlived its loop, 7.5 before the reach and tie kernel kept
+        # their temporaries bounded.
         g = load_edge_list_path(DATA_DIR / "polblogs.txt")
         _, peak = traced_peak_mib(lambda: run_cns(g, "693"))
         assert peak < 6.0

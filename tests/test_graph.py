@@ -173,6 +173,13 @@ class TestLineRule:
             ("a\x0cb\n", [("a", "b")]),
             ("a b\r\nb c\r\n", [("a", "b"), ("b", "c")]),
             ("a b\n b c\n", [("a", "b"), ("b", "c")]),
+            # A byte-order mark before line 1 is dropped, one only; U+FEFF
+            # anywhere else is label text.
+            ("\ufeff# karate\na b\n", [("a", "b")]),
+            ("\ufeffa b\n", [("a", "b")]),
+            ("\ufeff\ufeffa b\n", [("\ufeffa", "b")]),
+            ("a b\n\ufeffb c\n", [("a", "b"), ("\ufeffb", "c")]),
+            ("a \ufeffb\n", [("a", "\ufeffb")]),
         ],
     )
     def test_loads(self, kind, text, edges):

@@ -253,6 +253,11 @@ class TestSeedsFile:
         path.write_text("# comment\n\nkarate=2\nlesmis = Myriel\n", encoding="utf-8")
         assert parse_seeds_file(path) == {"karate": "2", "lesmis": "Myriel"}
 
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "seeds.txt"
+        path.write_text("karate=2\nlesmis=Myriel\n", encoding="utf-8-sig")
+        assert parse_seeds_file(path) == {"karate": "2", "lesmis": "Myriel"}
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "seeds.txt"
         path.write_text("karate\n", encoding="utf-8")
@@ -766,16 +771,17 @@ class TestCliRobustness:
         _assert_clean_exit(code, err)
 
 
-def _spawn_cli(*args, python_flags=()):
+def _spawn_cli(*args, python_flags=(), env=(), text=True):
     """The finished ``python [python_flags] -m netdiffuse.cli args`` process
-    in a fresh interpreter on this package, its output captured as text."""
+    in a fresh interpreter on this package, with the variables ``env``
+    added, its output captured as text (or as bytes)."""
     src = str(Path(netdiffuse.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "netdiffuse.cli", *map(str, args)],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **dict(env)},
         capture_output=True,
-        text=True,
+        text=text,
     )
 
 
@@ -811,3 +817,31 @@ def test_warnings_as_errors_still_print_one_line(data_dir, tmp_path):
     )
     assert result.returncode == 0
     assert result.stderr == "netdiffuse: warning: model cns ignores --ic-p\n"
+
+
+def test_stdout_is_utf8_under_an_ascii_console(data_dir, tmp_path):
+    """Under a stdout encoding that lacks a label or a path, ``--out -``
+    writes the bytes of ``--out FILE`` and ``reproduce`` lists its paths,
+    in UTF-8, rather than ending in a traceback."""
+    graph = tmp_path / "g.txt"
+    graph.write_text("é a\na b\nb é\n", encoding="utf-8")
+    ascii_console = {"PYTHONIOENCODING": "ascii"}
+    commands = [
+        ["tie-table", "--graph", graph],
+        ["run", "--graph", graph, "--model", "ic", "--seed-node", "é"],
+    ]
+    for i, command in enumerate(commands):
+        out = tmp_path / f"out{i}.csv"
+        assert _spawn_cli(*command, "--out", out).returncode == 0
+        result = _spawn_cli(*command, "--out", "-", env=ascii_console, text=False)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert "é".encode() in result.stdout
+        assert result.stdout == out.read_bytes()
+    out_dir = tmp_path / "é"
+    result = _spawn_cli(
+        "reproduce", "--data-dir", data_dir, "--out-dir", out_dir,
+        "--seeds", data_dir / "seeds_example.txt", env=ascii_console, text=False,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    listed = result.stdout.decode("utf-8").splitlines()
+    assert len(listed) == 7 and all(Path(path).parent == out_dir for path in listed)
