@@ -88,9 +88,12 @@ def _out_stream(target: str):
     """The text stream of an output file, or of stdout for ``-``. Stdout
     is written as UTF-8 whatever its own encoding, so ``-`` gives the
     bytes of a file and a label the console's encoding lacks is no error;
-    a path's undecodable bytes go out as they came in."""
+    a path's undecodable bytes go out as they came in. Raises OSError
+    for ``-`` when the process started with its stdout closed."""
     if target != "-":
         return open(target, "w", encoding="utf-8", newline="")
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
     if not hasattr(sys.stdout, "buffer"):
         return nullcontext(sys.stdout)  # a text-only stdout, such as io.StringIO
     return _stdout_utf8()

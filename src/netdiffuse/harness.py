@@ -327,7 +327,7 @@ def reproduce_paper(
         )
 
     path = out / "deviations.txt"
-    with path.open("w", encoding="utf-8") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(_deviation_report(produced, avg_degrees))
     written.append(path)
     return written

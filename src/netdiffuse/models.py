@@ -15,8 +15,9 @@ node count, only SI can reach.
 
 The strong-tie cascade depends on the active set only through the final
 subtraction, so each node's targets are fixed: its row of the reach
-digraph ``TieStrengthTable.reach``, whose rule the ``ties`` module
-states. It is the independent cascade at p = 1 on that digraph.
+digraph ``ties.reach_digraph`` builds from the strong ties, whose rule
+the ``ties`` module states. It is the independent cascade at p = 1 on
+that digraph.
 
 Every round of every model is one attempt step: lay the CSR rows of the
 actors end to end, drop the targets already active (ending the run if
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GraphError, InactiveNodeError, UnknownNodeError
+from .errors import ConfigError, InactiveNodeError, UnknownNodeError
 from .graph import Adjacency, Graph, sorted_unique
 from .ties import TieStrengthTable, build_tie_strength_table, reach_digraph
 
@@ -92,24 +93,17 @@ class DiffusionTrace:
     truncated: bool = False
 
 
-def _reach(g: Graph, table: TieStrengthTable) -> Adjacency:
-    if table.graph != g:
-        raise GraphError("tie table belongs to another graph")
-    return table.reach
-
-
-def cns_activate(
-    g: Graph, table: TieStrengthTable, v: int, active: frozenset[int] | set[int]
-) -> set[int]:
-    """Targets one active node reaches in a single round: the row of v
-    in ``TieStrengthTable.reach`` minus the active set. Raises
+def cns_activate(table: TieStrengthTable, v: int, active: frozenset[int] | set[int]) -> set[int]:
+    """Targets one active node of ``table.graph`` reaches in a single
+    round: its reach row (``reach_digraph``) minus the active set. Raises
     UnknownNodeError for an index outside the graph, InactiveNodeError
     for an inactive v."""
+    g = table.graph
     if not 0 <= v < g.node_count:
         raise UnknownNodeError(f"no node with index {v}")
     if v not in active:
         raise InactiveNodeError(f"node {g.label(v)!r} is not active")
-    return set(_reach(g, table).rows(np.array([v])).tolist()) - set(active)
+    return set(reach_digraph(g, table.strong).rows(np.array([v])).tolist()) - set(active)
 
 
 def _spread(
@@ -154,24 +148,14 @@ def _spread(
     return DiffusionTrace(g, s, tuple(rounds), truncated and not active.all())
 
 
-def run_cns(
-    g: Graph,
-    seed: str,
-    table: TieStrengthTable | None = None,
-    max_iterations: int | None = None,
-) -> DiffusionTrace:
+def run_cns(g: Graph, seed: str, max_iterations: int | None = None) -> DiffusionTrace:
     """Deterministic strong-tie cascade from one seed label: the
     independent cascade at p = 1 on the reach digraph, so a round
     activates the reach rows of the last round's activations, minus the
-    active set. Raises GraphError for a table built for another graph.
-
-    Without a table, only the strong-tie mask of a fresh one outlives
-    its build: its scores are freed before the reach is built."""
+    active set. Only the strong-tie mask of the tie table outlives its
+    build: its scores are freed before the reach is built."""
     s = g.index(seed)
-    if table is None:
-        reach = reach_digraph(g, build_tie_strength_table(g).strong)
-    else:
-        reach = _reach(g, table)
+    reach = reach_digraph(g, build_tie_strength_table(g).strong)
     return _spread(g, s, reach, max_iterations)
 
 

@@ -45,13 +45,14 @@ Tie strength ``phi`` normalizes ``rho`` by the maximum score on the
 source node's row, making it asymmetric; the ordered pairs that reach
 1.0 form the strong-tie set consumed by the diffusion models.
 
-The strong-tie cascade reads one more product of the table, the reach
-digraph, a CSR ``Adjacency``: row v is every node an active v activates,
-before the active set is subtracted. It holds v's strong-tie targets u;
-for each strong (v, u) with C = N(v) & N(u), the set
-C | (N(w) & (N(v) | N(u))) for w in C, minus v and u; and each neighbor
-whose own strong tie points at v. The middle part is the contributors
-of (v, u) that either endpoint is adjacent to. The contributors found
+The strong-tie cascade reads one product of the strong-tie mask, the
+reach digraph that ``reach_digraph`` builds, a CSR ``Adjacency``: row v
+is every node an active v activates, before the active set is
+subtracted. It holds v's strong-tie targets u; for each strong (v, u)
+with C = N(v) & N(u), the set C | (N(w) & (N(v) | N(u))) for w in C,
+minus v and u; and each neighbor whose own strong tie points at v. The
+middle part is the contributors of (v, u) that either endpoint is
+adjacent to. The contributors found
 through a connected pair (w, z) of common neighbors lie in N(w), so that
 restriction leaves the pair-overlap term nothing to add, and a bitwise
 OR over the packed rows N(w) of each tie's common neighbors computes it.
@@ -79,17 +80,17 @@ size, so later arrays of that size come from the heap and stay
 resident: one large temporary lifts the process's peak memory for the
 rest of the run. So memory is released in the order the strong-tie
 cascade stops needing it: ``marked`` and the last chunk's blocks go
-before rho, phi and the strong-tie mask are formed; ``run_cns`` without
-a table keeps only that mask, so ``terms``, ``phi`` and ``row_max`` go
-before the reach allocates; and the reach fills one index array block
-by block instead of concatenating a list of blocks beside it.
+before rho, phi and the strong-tie mask are formed; ``run_cns`` keeps
+only that mask, so ``terms``, ``phi`` and ``row_max`` go before the
+reach allocates; and the reach fills one index array block by block
+instead of concatenating a list of blocks beside it.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -183,12 +184,6 @@ class TieStrengthTable:
     phi: np.ndarray
     row_max: np.ndarray
     strong: np.ndarray
-
-    @cached_property
-    def reach(self) -> Adjacency:
-        """The reach digraph of the strong ties (``reach_digraph``),
-        built on first use."""
-        return reach_digraph(self.graph, self.strong)
 
     def edge(self, v: int, u: int) -> int:
         """Index of the ordered edge (v, u) in the edge arrays; raises

@@ -155,9 +155,8 @@ def test_criterion_5_metric_internal_consistency(graphs):
     rows_checked = 0
     for name, g in graphs.items():
         seed = SEEDS[name]
-        table = build_tie_strength_table(g)
         traces = (
-            run_cns(g, seed, table=table),
+            run_cns(g, seed),
             run_ic(g, seed, params),
             run_si(g, seed, params),
         )

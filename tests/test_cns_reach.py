@@ -4,7 +4,7 @@
 node activates its strong ties, the contributors of each strong tie that
 either endpoint is adjacent to, and the neighbors whose strong tie points
 back at it. It enumerates ``contributors`` per tie and shares nothing
-with the bitset kernel behind ``TieStrengthTable.reach``.
+with the bitset kernel behind ``reach_digraph``.
 """
 from __future__ import annotations
 
@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdiffuse import models, ties
+from netdiffuse.errors import InactiveNodeError
 from netdiffuse.graph import Adjacency, graph_from_edges, load_edge_list_path
 from netdiffuse.harness import DATASET_NAMES
 from netdiffuse.models import cns_activate, run_cns
-from netdiffuse.ties import build_tie_strength_table, contributors
+from netdiffuse.ties import build_tie_strength_table, contributors, reach_digraph
 
 from conftest import (
     DATA_DIR, complete_graph, er_edges, neighbor_sets, random_graphs, star_graph, strong_pairs,
@@ -81,39 +82,42 @@ class SetCascade:
         return rounds, truncated
 
 
-def reach_row(table, v):
-    indptr, indices = table.reach
+def reach_of(table):
+    return reach_digraph(table.graph, table.strong)
+
+
+def reach_row(reach, v):
+    indptr, indices = reach
     return indices[indptr[v] : indptr[v + 1]]
 
 
-def assert_reach_rows_match(g, table, oracle):
-    reach = table.reach
+def assert_reach_rows_match(g, reach, oracle):
     assert isinstance(reach, Adjacency)
     assert reach.node_count == g.node_count
     assert reach.indptr[0] == 0 and reach.indptr[-1] == len(reach.indices)
     for v in range(g.node_count):
-        row = reach_row(table, v)
+        row = reach_row(reach, v)
         assert row.dtype == np.int64
         assert (np.diff(row) > 0).all(), v
         assert v not in row, v
         assert set(row.tolist()) == oracle.activate(v, {v}), v
 
 
-def one_hop_arcs_in_two_hop_balls(g, table):
+def one_hop_arcs_in_two_hop_balls(g, reach):
     """The reach arcs that join neighbors, after checking that every reach
     arc (v, u) has u in v's two-hop ball: N(v) and N(N(v)), minus v."""
     nbrs = neighbor_sets(g)
     one_hop = 0
     for v in range(g.node_count):
-        row = set(reach_row(table, v).tolist())
+        row = set(reach_row(reach, v).tolist())
         ball = nbrs[v].union(*(nbrs[w] for w in nbrs[v])) - {v}
         assert row <= ball, (v, row - ball)
         one_hop += len(row & nbrs[v])
     return one_hop
 
 
-def assert_cascade_matches(g, table, oracle, seed, max_iterations=None):
-    trace = run_cns(g, seed, table=table, max_iterations=max_iterations)
+def assert_cascade_matches(g, oracle, seed, max_iterations=None):
+    trace = run_cns(g, seed, max_iterations)
     rounds, truncated = oracle.run(seed, max_iterations)
     assert [set(nodes.tolist()) for nodes in trace.iterations] == rounds
     assert all((np.diff(nodes) > 0).all() for nodes in trace.iterations)
@@ -146,19 +150,19 @@ class TestReachRows:
         # or a few at a time.
         table = build_tie_strength_table(g)
         with mock.patch.object(ties, "_UNPACK_CELLS", cells):
-            assert_reach_rows_match(g, table, SetCascade(g, table))
+            assert_reach_rows_match(g, reach_of(table), SetCascade(g, table))
 
     @settings(max_examples=80, deadline=None)
     @given(cascade_graphs)
     def test_rows_lie_in_two_hop_balls(self, g):
-        one_hop_arcs_in_two_hop_balls(g, build_tie_strength_table(g))
+        one_hop_arcs_in_two_hop_balls(g, reach_of(build_tie_strength_table(g)))
 
     def test_isolated_node_reaches_nothing(self):
         g = graph_from_edges([("a", "a"), ("b", "c")])  # a is isolated
-        table = build_tie_strength_table(g)
+        reach = reach_of(build_tie_strength_table(g))
         a = g.index("a")
-        assert len(reach_row(table, a)) == 0
-        assert a not in table.reach.indices
+        assert len(reach_row(reach, a)) == 0
+        assert a not in reach.indices
 
     def test_word_boundaries(self):
         # rows are packed 8 nodes a byte: these sizes end a row on a
@@ -167,13 +171,7 @@ class TestReachRows:
             rng = random.Random(n)
             g = graph_from_edges(er_edges(n, 0.15, rng))
             table = build_tie_strength_table(g)
-            assert_reach_rows_match(g, table, SetCascade(g, table))
-
-    def test_reach_is_lazy(self):
-        table = build_tie_strength_table(complete_graph(4))
-        assert "reach" not in vars(table)
-        table.reach
-        assert "reach" in vars(table)
+            assert_reach_rows_match(g, reach_of(table), SetCascade(g, table))
 
     def test_polblogs_memory(self):
         # Measured 1.06 MiB; 1.53 with the index blocks concatenated, 3.1
@@ -181,7 +179,7 @@ class TestReachRows:
         # neighbor's row and the n-by-n rows built whole.
         g = load_edge_list_path(DATA_DIR / "polblogs.txt")
         table = build_tie_strength_table(g)
-        reach, peak = traced_peak_mib(lambda: table.reach)
+        reach, peak = traced_peak_mib(lambda: reach_of(table))
         assert peak < 1.8
         # Each block of rows fills its stretch of the indices in place, so
         # beyond the CSR and its packed rows only one block's unpacking is
@@ -192,8 +190,8 @@ class TestReachRows:
         assert peak - own / 2**20 < reach.indices.nbytes / 2**20 / 2
 
     def test_run_cns_frees_scores_before_reach(self, karate):
-        # Without a table, run_cns keeps only the strong-tie mask of the
-        # one it builds: no score table is alive while the reach is built.
+        # run_cns keeps only the strong-tie mask of the table it builds:
+        # no score table is alive while the reach is built.
         tables = []
 
         def build(g):
@@ -222,11 +220,17 @@ class TestReachRows:
         assert peak < 6.0
 
     def test_activate_reads_reach_minus_active(self, karate):
+        # cns_activate reads the graph, and the labels of its errors, off
+        # the table.
         table = build_tie_strength_table(karate)
-        v = karate.index("2")
-        row = set(reach_row(table, v).tolist())
-        active = {v, *sorted(row)[:3]}
-        assert cns_activate(karate, table, v, active) == row - active
+        reach = reach_of(table)
+        for v in range(karate.node_count):
+            row = set(reach_row(reach, v).tolist())
+            active = {v, *sorted(row)[:3]}
+            assert cns_activate(table, v, active) == row - active
+            label = karate.label(v)
+            with pytest.raises(InactiveNodeError, match=f"^node {label!r} is not active$"):
+                cns_activate(table, v, active - {v})
 
 
 class TestCascadeTraces:
@@ -235,8 +239,8 @@ class TestCascadeTraces:
     def test_matches_set_cascade(self, g, data):
         seed = g.label(data.draw(st.integers(0, g.node_count - 1)))
         max_iterations = data.draw(st.sampled_from([None, 1, 2, 3]))
-        table = build_tie_strength_table(g)
-        assert_cascade_matches(g, table, SetCascade(g, table), seed, max_iterations)
+        oracle = SetCascade(g, build_tie_strength_table(g))
+        assert_cascade_matches(g, oracle, seed, max_iterations)
 
 
 # Every node of the three small datasets seeds a cascade; polblogs gets
@@ -250,7 +254,7 @@ def dataset_tables():
     for name in DATASET_NAMES:
         g = load_edge_list_path(DATA_DIR / f"{name}.txt")
         table = build_tie_strength_table(g)
-        out[name] = (g, table, SetCascade(g, table))
+        out[name] = (g, reach_of(table), SetCascade(g, table))
     return out
 
 
@@ -260,7 +264,7 @@ REACH_ARCS = {"karate": 283, "lesmis": 744, "jazz": 16_677, "polblogs": 85_012}
 @pytest.mark.parametrize("name", DATASET_NAMES)
 def test_dataset_reach_rows(dataset_tables, name):
     assert_reach_rows_match(*dataset_tables[name])
-    assert len(dataset_tables[name][1].reach.indices) == REACH_ARCS[name]
+    assert len(dataset_tables[name][1].indices) == REACH_ARCS[name]
 
 
 # The share of reach arcs that join neighbors; the rest skip a hop.
@@ -269,14 +273,14 @@ ONE_HOP_SHARE = {"karate": 0.48, "lesmis": 0.66, "jazz": 0.31, "polblogs": 0.21}
 
 @pytest.mark.parametrize("name", DATASET_NAMES)
 def test_dataset_reach_lies_in_two_hop_balls(dataset_tables, name):
-    g, table, _ = dataset_tables[name]
-    one_hop = one_hop_arcs_in_two_hop_balls(g, table)
+    g, reach, _ = dataset_tables[name]
+    one_hop = one_hop_arcs_in_two_hop_balls(g, reach)
     assert round(one_hop / REACH_ARCS[name], 2) == ONE_HOP_SHARE[name]
 
 
 @pytest.mark.parametrize("name", DATASET_NAMES)
 def test_dataset_cascades(dataset_tables, name):
-    g, table, oracle = dataset_tables[name]
+    g, _, oracle = dataset_tables[name]
     if name == "polblogs":
         seeds = ["693"] + [g.label(v) for v in range(0, g.node_count, POLBLOGS_SEED_STEP)]
         caps = (None,)
@@ -285,7 +289,7 @@ def test_dataset_cascades(dataset_tables, name):
         caps = (None, 1, 2)
     for seed in seeds:
         for cap in caps:
-            assert_cascade_matches(g, table, oracle, seed, cap)
+            assert_cascade_matches(g, oracle, seed, cap)
 
 
 class TestRestrictionIdentity:

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -573,6 +574,23 @@ def out_dir(data_dir, tmp_path_factory):
     return out
 
 
+def test_reproduce_opens_every_text_file_without_newline_translation(data_dir, tmp_path):
+    # Translated newlines would give a file CRLF endings on Windows, where
+    # its REPRODUCE_SHA256 pin could not hold.
+    newlines = {}
+    real_open = Path.open
+
+    def recording_open(self, mode="r", buffering=-1, encoding=None, errors=None, newline=None):
+        if "b" not in mode:
+            newlines[self.name] = newline
+        return real_open(self, mode, buffering, encoding, errors, newline)
+
+    with mock.patch.object(Path, "open", recording_open):
+        seeds = {"lesmis": "Myriel", "jazz": "68", "polblogs": "693"}
+        written = reproduce_paper(data_dir, tmp_path, seeds)
+    assert newlines == {path.name: "" for path in written}
+
+
 class TestReproduceOutputs:
     def test_all_files_written(self, out_dir):
         names = sorted(p.name for p in out_dir.iterdir())
@@ -771,10 +789,11 @@ class TestCliRobustness:
         _assert_clean_exit(code, err)
 
 
-def _spawn_cli(*args, python_flags=(), env=(), text=True):
+def _spawn_cli(*args, python_flags=(), env=(), text=True, preexec_fn=None):
     """The finished ``python [python_flags] -m netdiffuse.cli args`` process
     in a fresh interpreter on this package, with the variables ``env``
-    added, its output captured as text (or as bytes)."""
+    added, its output captured as text (or as bytes). ``preexec_fn`` runs
+    in the child after its pipes are in place."""
     src = str(Path(netdiffuse.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -782,6 +801,7 @@ def _spawn_cli(*args, python_flags=(), env=(), text=True):
         env={**os.environ, "PYTHONPATH": path, **dict(env)},
         capture_output=True,
         text=text,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -845,3 +865,19 @@ def test_stdout_is_utf8_under_an_ascii_console(data_dir, tmp_path):
     assert (result.returncode, result.stderr) == (0, b"")
     listed = result.stdout.decode("utf-8").splitlines()
     assert len(listed) == 7 and all(Path(path).parent == out_dir for path in listed)
+
+
+def test_closed_stdout_is_one_stderr_line(data_dir, tmp_path):
+    """A command that writes to stdout, started with stdout closed (``>&-``,
+    so ``sys.stdout`` is None), exits 2 with one stderr line, not a
+    traceback."""
+    karate = data_dir / "karate.txt"
+    commands = [
+        ["tie-table", "--graph", karate, "--out", "-"],
+        ["run", "--graph", karate, "--model", "cns", "--seed-node", "2", "--out", "-"],
+        ["reproduce", "--data-dir", data_dir, "--out-dir", tmp_path,
+         "--seeds", data_dir / "seeds_example.txt"],
+    ]
+    for command in commands:
+        result = _spawn_cli(*command, preexec_fn=lambda: os.close(1))
+        assert (result.returncode, result.stderr) == (2, "netdiffuse: standard output is closed\n")

@@ -1,14 +1,16 @@
 """Diffusion model behavior: the cascade rules, RNG discipline, traces."""
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdiffuse import models
-from netdiffuse.errors import GraphError, InactiveNodeError, UnknownNodeError
-from netdiffuse.graph import Adjacency, graph_from_text, load_edge_list_path
+from netdiffuse.errors import InactiveNodeError, UnknownNodeError
+from netdiffuse.graph import Adjacency, graph_from_text
 from netdiffuse.models import (
     ModelParams,
     cns_activate,
@@ -62,18 +64,18 @@ class TestCnsActivate:
     def test_two_node(self):
         g = graph_from_text("a b")
         table = build_tie_strength_table(g)
-        assert cns_activate(g, table, 0, {0}) == {1}
+        assert cns_activate(table, 0, {0}) == {1}
 
     def test_all_active_k3(self):
         g = complete_graph(3)
         table = build_tie_strength_table(g)
-        assert cns_activate(g, table, 0, {0, 1, 2}) == set()
+        assert cns_activate(table, 0, {0, 1, 2}) == set()
 
     def test_inactive_actor_rejected(self):
         g = graph_from_text("a b")
         table = build_tie_strength_table(g)
         with pytest.raises(InactiveNodeError):
-            cns_activate(g, table, 0, {1})
+            cns_activate(table, 0, {1})
 
     # Past the end, and -1, which a label or CSR read would wrap to the
     # last node; active or not, the index is rejected first.
@@ -82,12 +84,12 @@ class TestCnsActivate:
         g = graph_from_text("a b\nb c")
         table = build_tie_strength_table(g)
         with pytest.raises(UnknownNodeError, match=f"no node with index {v}$"):
-            cns_activate(g, table, v, active)
+            cns_activate(table, v, active)
 
     def test_karate_first_step_reaches_partner(self, karate):
         table = build_tie_strength_table(karate)
         v = karate.index("2")
-        out = cns_activate(karate, table, v, {v})
+        out = cns_activate(table, v, {v})
         assert karate.index("1") in out
 
     def test_reverse_strong_tie_pulls_neighbor(self):
@@ -100,40 +102,7 @@ class TestCnsActivate:
         leaf = g.index("leaf")
         assert (h, leaf) not in strong_pairs(table)
         assert (leaf, h) in strong_pairs(table)
-        assert leaf in cns_activate(g, table, h, {h})
-
-
-class TestForeignTable:
-    """A tie table serves only the graph it was built for; an equal graph
-    loaded a second time counts as the same graph."""
-
-    @pytest.fixture(scope="class")
-    def lesmis(self, data_dir):
-        return load_edge_list_path(data_dir / "lesmis.txt")
-
-    def test_run_cns_larger_graph(self, karate, lesmis):
-        table = build_tie_strength_table(karate)
-        with pytest.raises(GraphError, match="tie table belongs to another graph"):
-            run_cns(lesmis, "Valjean", table)
-
-    def test_run_cns_same_size_graph(self):
-        # Same node count: foreign rows would be read without an error.
-        path, star = graph_from_text("a b\nb c"), graph_from_text("a b\na c")
-        with pytest.raises(GraphError, match="tie table belongs to another graph"):
-            run_cns(star, "a", build_tie_strength_table(path))
-
-    def test_cns_activate(self, karate, lesmis):
-        table = build_tie_strength_table(karate)
-        v = lesmis.index("Valjean")
-        with pytest.raises(GraphError, match="tie table belongs to another graph"):
-            cns_activate(lesmis, table, v, {v})
-
-    def test_equal_graph_accepted(self, karate, data_dir):
-        table = build_tie_strength_table(load_edge_list_path(data_dir / "karate.txt"))
-        assert trace_key(run_cns(karate, "2", table)) == trace_key(run_cns(karate, "2"))
-        v = karate.index("2")
-        own = build_tie_strength_table(karate)
-        assert cns_activate(karate, table, v, {v}) == cns_activate(karate, own, v, {v})
+        assert leaf in cns_activate(table, h, {h})
 
 
 class TestRunCns:
@@ -173,6 +142,12 @@ class TestRunCns:
         trace = run_cns(karate, "2", max_iterations=1)
         assert len(trace.iterations) == 1
         assert trace.truncated
+
+    def test_third_positional_argument_is_max_iterations(self, karate):
+        # The graph alone fixes the cascade: no tie table is passed in.
+        assert list(inspect.signature(run_cns).parameters) == ["g", "seed", "max_iterations"]
+        capped = run_cns(karate, "2", max_iterations=1)
+        assert trace_key(run_cns(karate, "2", 1)) == trace_key(capped)
 
     @pytest.mark.parametrize("run", [run_cns, run_ic])
     def test_cap_reached_with_every_node_active_is_not_truncation(self, run):
