@@ -77,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed config file with dataset=label lines; without seeds "
                           "for lesmis, jazz and polblogs (karate defaults to 2) "
                           "reproduce exits 2")
+    rep.set_defaults(out="-")  # the paths written are listed on stdout
 
     tie = sub.add_parser("tie-table", help="dump the tie-strength debug CSV")
     tie.add_argument("--graph", required=True, help="edge-list file")
@@ -88,12 +89,10 @@ def _out_stream(target: str):
     """The text stream of an output file, or of stdout for ``-``. Stdout
     is written as UTF-8 whatever its own encoding, so ``-`` gives the
     bytes of a file and a label the console's encoding lacks is no error;
-    a path's undecodable bytes go out as they came in. Raises OSError
-    for ``-`` when the process started with its stdout closed."""
+    a path's undecodable bytes go out as they came in. ``main`` has
+    checked that stdout is open."""
     if target != "-":
         return open(target, "w", encoding="utf-8", newline="")
-    if sys.stdout is None:
-        raise OSError("standard output is closed")
     if not hasattr(sys.stdout, "buffer"):
         return nullcontext(sys.stdout)  # a text-only stdout, such as io.StringIO
     return _stdout_utf8()
@@ -143,7 +142,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     seeds = parse_seeds_file(args.seeds) if args.seeds else {}
     written = reproduce_paper(args.data_dir, args.out_dir, seeds)
-    with _out_stream("-") as fh:
+    with _out_stream(args.out) as fh:
         fh.writelines(f"{path}\n" for path in written)
     return 0
 
@@ -173,6 +172,10 @@ def main(argv: list[str] | None = None) -> int:
             if args.command is None:
                 parser.print_usage(sys.stderr)
                 return 1
+            # A process started with stdout closed has sys.stdout None:
+            # fail before any work, so no output file is written.
+            if args.out == "-" and sys.stdout is None:
+                raise OSError("standard output is closed")
             code = _COMMANDS[args.command](args)
         except ConfigError as exc:
             print(f"netdiffuse: {exc}", file=sys.stderr)

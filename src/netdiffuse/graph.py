@@ -40,7 +40,9 @@ __all__ = [
     "average_degree",
 ]
 
-_GATHER_WORDS = 1 << 18  # uint64 words per neighbor gather of the all-sources BFS (2 MiB)
+# uint64 words per neighbor gather of the all-sources BFS (256 KiB). A word
+# row of polblogs' 33,436 arcs is larger, so each of its slices is one row.
+_GATHER_WORDS = 1 << 15
 
 
 class Adjacency(NamedTuple):

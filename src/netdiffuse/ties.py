@@ -28,15 +28,19 @@ dtype is the smallest unsigned integer type that holds the largest
 ``cn + 1``: uint8 on polblogs, whose largest is 75, half the bytes of
 uint16. The nodes, sorted by degree, are cut into chunks of at most
 ``_BLOCK_CELLS`` block cells (m nodes of largest degree D hold m * D**2);
-a node whose block alone is larger is a chunk by itself. A chunk pads
-every neighbor list to width D with node n, gathers its blocks with one
-index and evaluates the identities as stacked products; padding adds
-only zeros. Every product and row sum of a chunk is an integer of at
-most D**2 * max cn, so the chunk runs in float32 while that bound stays
-below 2**24 (every chunk of polblogs) and in float64, exact below
-2**53, above it; ``terms`` stays int64. An edge-wise kernel over (edge,
-common neighbor) incidences gives the same terms but was measured 6x
-slower on polblogs, so the blocks stay per node. Every score lives in
+a node whose block alone is larger is a chunk by itself, and takes its
+products a slice of rows at a time. A chunk pads every neighbor list to
+width D with node n, gathers its blocks with one index and evaluates
+the identities as stacked products; padding adds only zeros. Every
+product and row sum of a chunk is an integer of at most D**2 * max cn,
+so the chunk runs in float32 while that bound stays below 2**24 (every
+chunk of polblogs) and in float64, exact below 2**53, above it. The
+kernel returns the four block terms as one (E, 4) array in the dtype
+of the widest chunk, which holds every chunk's terms exactly; the
+table's ``terms`` are int64, copied from it and from ``cn``. An
+edge-wise kernel over (edge, common neighbor) incidences gives the
+same terms but was measured 6x slower on polblogs, so the blocks stay
+per node. Every score lives in
 edge-indexed arrays in ``Graph.adjacency`` order: position k is the
 ordered edge (v, indices[k]) for the row v that holds k, so rows ascend
 by v and, within a row, by neighbor.
@@ -78,12 +82,15 @@ Both builds and the dump keep every temporary bounded. When glibc
 frees a block of 128 KiB or more it raises its mmap threshold to that
 size, so later arrays of that size come from the heap and stay
 resident: one large temporary lifts the process's peak memory for the
-rest of the run. So memory is released in the order the strong-tie
-cascade stops needing it: ``marked`` and the last chunk's blocks go
-before rho, phi and the strong-tie mask are formed; ``run_cns`` keeps
-only that mask, so ``terms``, ``phi`` and ``row_max`` go before the
-reach allocates; and the reach fills one index array block by block
-instead of concatenating a list of blocks beside it.
+rest of the run. So memory is allocated late and released in the
+order the strong-tie cascade stops needing it: beside ``marked`` the
+kernel holds only ``cn``, its float32 block terms and one chunk (one
+slice of rows of a wide block); the int64 ``terms`` is allocated once
+``marked`` and the last chunk's blocks are freed, and the block terms
+go before rho, phi and the strong-tie mask are formed; ``run_cns``
+keeps only that mask, so ``terms``, ``phi`` and ``row_max`` go before
+the reach allocates; and the reach fills one index array block by
+block instead of concatenating a list of blocks beside it.
 """
 from __future__ import annotations
 
@@ -274,19 +281,23 @@ def _degree_chunks(degree: np.ndarray) -> Iterator[np.ndarray]:
         start = stop
 
 
-def _fill_block_terms(g: Graph, sources: np.ndarray, terms: np.ndarray, top: int) -> None:
-    """Write term_v_side .. term_ww of every edge into ``terms``, one
-    chunk of blocks at a time, from the common-neighbor counts in
-    ``terms[:, 0]``, of which none exceeds ``top``. ``marked`` and the
-    last chunk's blocks are freed on return."""
+def _block_terms(g: Graph, sources: np.ndarray, cn: np.ndarray, top: int) -> np.ndarray:
+    """term_v_side .. term_ww of every edge, an (E, 4) array in the block
+    dtype of the widest chunk, which holds every chunk's terms exactly.
+
+    Built one chunk of blocks at a time from the common-neighbor counts
+    ``cn``, of which none exceeds ``top``; a block wider than
+    ``_BLOCK_CELLS`` takes its products a slice of rows at a time.
+    ``marked`` and the last chunk's blocks are freed on return."""
     indptr, indices = g.adjacency
     n = g.node_count
     # cn + 1 on every edge, 0 elsewhere; row and column n pad the blocks.
     marked = np.zeros((n + 1, n + 1), dtype=_marked_dtype(top))
-    marked[sources, indices] = terms[:, 0] + 1
+    marked[sources, indices] = cn + 1
     flat = marked.ravel()
 
     degree = np.diff(indptr)
+    out = np.empty((len(indices), 4), dtype=_block_dtype(int(degree.max(initial=0)), top))
     for chunk in _degree_chunks(degree):
         width = int(degree[chunk[-1]])
         slot = np.arange(width)
@@ -298,17 +309,20 @@ def _fill_block_terms(g: Graph, sources: np.ndarray, terms: np.ndarray, top: int
         x = flat.take(nbrs[:, :, None] * (n + 1) + nbrs[:, None, :])
         b = (x > 0).astype(_block_dtype(width, top))
         w = x - b
-        bb = b @ b
-        block_terms = np.stack(
-            [
-                bb.sum(axis=2),
-                w.sum(axis=2),
-                np.einsum("mij,mij->mi", bb, b) / 2,
-                np.einsum("mij,mij->mi", b @ w, b) / 2,
-            ],
-            axis=2,
-        )
-        terms[position, 1:_RHO] = block_terms[filled]
+        del x
+        block = np.empty((len(chunk), width, 4), dtype=b.dtype)
+        # Every row at once, unless the chunk is one block wider than the limit.
+        step = max(1, _BLOCK_CELLS // max(len(chunk) * width, 1))
+        for lo in range(0, width, step):
+            rows = slice(lo, lo + step)
+            left = b[:, rows]
+            bb = left @ b
+            block[:, rows, 0] = bb.sum(axis=2)
+            block[:, rows, 1] = w[:, rows].sum(axis=2)
+            block[:, rows, 2] = np.einsum("mij,mij->mi", bb, left) / 2
+            block[:, rows, 3] = np.einsum("mij,mij->mi", left @ w, left) / 2
+        out[position] = block[filled]
+    return out
 
 
 def build_tie_strength_table(g: Graph) -> TieStrengthTable:
@@ -320,13 +334,18 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
     indptr, indices = g.adjacency
     sources = g.adjacency.sources()
     words = g.bits.view(np.uint64)
-    terms = np.zeros((len(indices), 6), dtype=np.int64)
-    cn = terms[:, 0]
+    cn = np.empty(len(indices), dtype=np.int64)
     for lo in range(0, len(indices), _EDGE_SLICE):
         edges = slice(lo, lo + _EDGE_SLICE)
         common = words[sources[edges]] & words[indices[edges]]
         cn[edges] = np.bitwise_count(common).sum(axis=1)
-    _fill_block_terms(g, sources, terms, int(cn.max(initial=0)))
+    block = _block_terms(g, sources, cn, int(cn.max(initial=0)))
+    # The int64 table comes after ``marked`` and the blocks are freed.
+    terms = np.empty((len(indices), 6), dtype=np.int64)
+    terms[:, 0] = cn
+    terms[:, 1:_RHO] = block
+    del block
+    cn = terms[:, 0]
 
     # A pair without common neighbors scores 1 iff an endpoint is a leaf.
     degree = np.diff(indptr)

@@ -525,10 +525,11 @@ class TestMemoryBudget:
     """Peak traced memory of the polblogs graph kernels. Measured: the
     loader 1.18 MiB (1.42 with the whole text read and cut a slice at a
     time, 1.7 with a list of every line, 4.6 with a list of every token),
-    the whole-graph BFS 2.47 MiB (5.9 with one gather of all word rows,
-    2.72 with a copy of the gathered row indices at every level): its
-    largest gather slice, 1.87 MiB, plus the frontier, the unfinished
-    columns' unseen bits and the gather's output. The tie-table dump
+    the whole-graph BFS 0.95 MiB (2.47 with 2 MiB gather slices, 5.9
+    with one gather of all word rows, 2.72 with a copy of the gathered
+    row indices at every level): its gather slice, one word row of
+    33,436 words (0.26 MiB), plus the frontier, the unfinished columns'
+    unseen bits and the gather's output. The tie-table dump
     1.21 MiB on its first call, which builds the digit tables, and 0.83
     after (4.33 with one ``%`` format per row, 5.44 with 1 MiB slices)."""
 
@@ -539,7 +540,7 @@ class TestMemoryBudget:
     def test_distance_summary(self, data_dir):
         g = load_edge_list_path(data_dir / "polblogs.txt")
         _, peak = traced_peak_mib(lambda: distance_summary(g.adjacency))
-        assert peak < 4.0
+        assert peak < 1.2
 
     def test_tie_table_dump(self, data_dir):
         table = build_tie_strength_table(load_edge_list_path(data_dir / "polblogs.txt"))

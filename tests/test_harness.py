@@ -870,7 +870,7 @@ def test_stdout_is_utf8_under_an_ascii_console(data_dir, tmp_path):
 def test_closed_stdout_is_one_stderr_line(data_dir, tmp_path):
     """A command that writes to stdout, started with stdout closed (``>&-``,
     so ``sys.stdout`` is None), exits 2 with one stderr line, not a
-    traceback."""
+    traceback, before any work: ``reproduce`` writes no file."""
     karate = data_dir / "karate.txt"
     commands = [
         ["tie-table", "--graph", karate, "--out", "-"],
@@ -881,3 +881,4 @@ def test_closed_stdout_is_one_stderr_line(data_dir, tmp_path):
     for command in commands:
         result = _spawn_cli(*command, preexec_fn=lambda: os.close(1))
         assert (result.returncode, result.stderr) == (2, "netdiffuse: standard output is closed\n")
+    assert list(tmp_path.iterdir()) == []
