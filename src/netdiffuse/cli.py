@@ -136,6 +136,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     truncated = sum(trace.truncated for trace in traces)
     if truncated:
         warnings.warn(f"{truncated} of {len(traces)} runs stopped with nodes unreached")
+    elif not any(trace.iterations for trace in traces):
+        warnings.warn("no run activated any node; the CSV holds only its header")
     return 0
 
 

@@ -3,8 +3,8 @@
 A graph is its labels plus one CSR adjacency. Nodes carry dense 0-based
 internal indices assigned in first-appearance order; the original
 dataset labels are kept as opaque strings. Input files are read a line
-at a time, and a line ends at ``\\n`` (``numbered_lines``). The label map
-and the packed bit rows are built on first use, never on load. All
+at a time, and a line ends at ``\\n`` (``numbered_lines``). The label
+map, all a graph caches, is built on first use, never on load. All
 functions here are pure and the graph is safe to share between threads.
 """
 from __future__ import annotations
@@ -156,20 +156,6 @@ class Graph:
     @cached_property
     def _index_of(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
-
-    @cached_property
-    def bits(self) -> np.ndarray:
-        """The adjacency rows packed 8 nodes a byte, built on first use.
-
-        An (n, 8 * ceil(n / 64)) uint8 array: in row v, bit u & 7 of byte
-        u >> 3 is set iff u is a neighbor of v, the order of
-        ``np.packbits(..., bitorder="little")``. Rows fill whole 64-bit
-        words, so ``.view(np.uint64)`` gives word-wise rows for popcounts.
-        """
-        sources, targets = self.adjacency.sources(), self.adjacency.indices
-        rows = np.zeros((self.node_count, 8 * -(-self.node_count // 64)), dtype=np.uint8)
-        np.bitwise_or.at(rows, (sources, targets >> 3), (1 << (targets & 7)).astype(np.uint8))
-        return rows
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -83,21 +83,21 @@ frees a block of 128 KiB or more it raises its mmap threshold to that
 size, so later arrays of that size come from the heap and stay
 resident: one large temporary lifts the process's peak memory for the
 rest of the run. So memory is allocated late and released in the
-order the strong-tie cascade stops needing it: beside ``marked`` the
+order the strong-tie cascade stops needing it: the packed rows go once
+``cn`` is counted, before ``marked`` is allocated; beside ``marked`` the
 kernel holds only ``cn``, its float32 block terms and one chunk (one
 slice of rows of a wide block); the int64 ``terms`` is allocated once
 ``marked`` and the last chunk's blocks are freed, and the block terms
 go before rho, phi and the strong-tie mask are formed; ``run_cns``
 keeps only that mask, so ``terms``, ``phi`` and ``row_max`` go before
-the reach allocates; and the reach fills one index array block by
-block instead of concatenating a list of blocks beside it.
+the reach packs its own rows; and the reach fills one index array
+block by block instead of concatenating a list of blocks beside it.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
-from functools import cache
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -134,6 +134,19 @@ _DUMP_BYTES = 1 << 16  # bytes per row matrix of the tie-table dump
 _PAD = 0xFF  # filler byte of the dump's row matrix: no UTF-8 text holds it
 _PAD_BYTE = bytes([_PAD])
 _PAD_WORD = _PAD * 0x0101_0101  # four filler bytes
+
+
+def _packed_rows(adjacency: Adjacency) -> np.ndarray:
+    """The rows of ``adjacency`` as an (n, 8 * ceil(n / 64)) uint8 array:
+    in row v, bit u & 7 of byte u >> 3 is set iff (v, u) is an arc, the
+    order of ``np.packbits(..., bitorder="little")``. Rows fill whole
+    64-bit words, so ``.view(np.uint64)`` gives word-wise rows for
+    popcounts. Each caller builds its own and drops it before returning."""
+    n, targets = adjacency.node_count, adjacency.indices
+    rows = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
+    bits = (1 << (targets & 7)).astype(np.uint8)
+    np.bitwise_or.at(rows, (adjacency.sources(), targets >> 3), bits)
+    return rows
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
@@ -205,11 +218,11 @@ def reach_digraph(g: Graph, strong: np.ndarray) -> Adjacency:
     """The reach digraph of the strong ties ``strong``, a mask over
     ``g.adjacency``: row v is what an active v activates.
 
-    See the module docstring for the three parts of a row. Built from the
-    graph's packed adjacency rows.
+    See the module docstring for the three parts of a row. Built from
+    packed adjacency rows (``_packed_rows``) that live only for this call.
     """
     n = g.node_count
-    rows = g.bits
+    rows = _packed_rows(g.adjacency)
     sources = g.adjacency.sources()[strong]
     targets = g.adjacency.indices[strong]
     packed = np.zeros_like(rows)
@@ -333,12 +346,12 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
     """
     indptr, indices = g.adjacency
     sources = g.adjacency.sources()
-    words = g.bits.view(np.uint64)
+    words = _packed_rows(g.adjacency).view(np.uint64)
     cn = np.empty(len(indices), dtype=np.int64)
     for lo in range(0, len(indices), _EDGE_SLICE):
         edges = slice(lo, lo + _EDGE_SLICE)
-        common = words[sources[edges]] & words[indices[edges]]
-        cn[edges] = np.bitwise_count(common).sum(axis=1)
+        cn[edges] = np.bitwise_count(words[sources[edges]] & words[indices[edges]]).sum(axis=1)
+    del words  # the packed rows go before ``marked`` is allocated
     block = _block_terms(g, sources, cn, int(cn.max(initial=0)))
     # The int64 table comes after ``marked`` and the blocks are freed.
     terms = np.empty((len(indices), 6), dtype=np.int64)
@@ -378,11 +391,10 @@ def _csv_fields(labels: Sequence[str]) -> list[str]:
     return fields
 
 
-@cache
 def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     """The ASCII digits of 0 .. 9999 as '<u4' words, four bytes in reading
     order: zero-padded, and bare (``_PAD`` for each leading zero, 0 as
-    "0"). Built on the first dump, not at import."""
+    "0"). Built by each dump (under 1 ms), not at import."""
     values = np.arange(10_000)[:, None]
     padded = (values // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
     bare = np.where(values >= np.array([1000, 100, 10, 0]), padded, np.uint8(_PAD))

@@ -25,8 +25,8 @@ from netdiffuse.models import cns_activate, run_cns
 from netdiffuse.ties import build_tie_strength_table, contributors, reach_digraph
 
 from conftest import (
-    DATA_DIR, complete_graph, er_edges, neighbor_sets, random_graphs, star_graph, strong_pairs,
-    traced_peak_mib,
+    DATA_DIR, bfs_oracle, complete_graph, er_edges, neighbor_sets, random_graphs, star_graph,
+    strong_pairs, traced_peak_mib,
 )
 
 
@@ -174,19 +174,24 @@ class TestReachRows:
             assert_reach_rows_match(g, reach_of(table), SetCascade(g, table))
 
     def test_polblogs_memory(self):
-        # Measured 1.06 MiB; 1.53 with the index blocks concatenated, 3.1
-        # with the (ties x n) unpacking, the gather of every common
-        # neighbor's row and the n-by-n rows built whole.
+        # Measured 1.25 MiB with the reach packing its own adjacency rows
+        # (0.19 MiB), 1.06 when it read rows cached on the graph; 1.53
+        # with the index blocks concatenated, 3.1 with the (ties x n)
+        # unpacking, the gather of every common neighbor's row and the
+        # n-by-n rows built whole (those two with cached rows).
         g = load_edge_list_path(DATA_DIR / "polblogs.txt")
         table = build_tie_strength_table(g)
         reach, peak = traced_peak_mib(lambda: reach_of(table))
         assert peak < 1.8
         # Each block of rows fills its stretch of the indices in place, so
-        # beyond the CSR and its packed rows only one block's unpacking is
-        # alive: measured 0.22 MiB over. Concatenating a list of blocks
-        # held them all beside the result, more than the indices' own
-        # bytes (0.69 MiB over, with 0.65 MiB of indices).
-        own = reach.indptr.nbytes + reach.indices.nbytes + g.bits.nbytes
+        # beyond the CSR and its two packed matrices, the adjacency rows
+        # and the reach's own, only one block's unpacking is alive:
+        # measured 0.22 MiB over, as before with the rows cached on the
+        # graph. Concatenating a list of blocks held them all beside the
+        # result, more than the indices' own bytes (0.69 MiB over, with
+        # 0.65 MiB of indices).
+        packed = ties._packed_rows(g.adjacency).nbytes
+        own = reach.indptr.nbytes + reach.indices.nbytes + 2 * packed
         assert peak - own / 2**20 < reach.indices.nbytes / 2**20 / 2
 
     def test_run_cns_frees_scores_before_reach(self, karate):
@@ -212,10 +217,11 @@ class TestReachRows:
 
     def test_polblogs_cascade_memory(self):
         # Tie build, reach and cascade together from a freshly loaded
-        # graph: measured 3.77 MiB, 4.71 with the hub's block products
-        # taken whole and the int64 ``terms`` filled beside ``marked``,
-        # 5.2 while ``marked`` outlived its loop, 7.5 before the reach and
-        # tie kernel kept their temporaries bounded.
+        # graph: measured 3.49 MiB, 3.77 with the packed rows cached on
+        # the graph beside ``marked``, 4.71 with that, the hub's block
+        # products taken whole and the int64 ``terms`` filled beside
+        # ``marked``, 5.2 while ``marked`` outlived its loop, 7.5 before
+        # the reach and tie kernel kept their temporaries bounded.
         g = load_edge_list_path(DATA_DIR / "polblogs.txt")
         _, peak = traced_peak_mib(lambda: run_cns(g, "693"))
         assert peak < 4.3
@@ -291,6 +297,46 @@ def test_dataset_cascades(dataset_tables, name):
     for seed in seeds:
         for cap in caps:
             assert_cascade_matches(g, oracle, seed, cap)
+
+
+def within_two_hop_ceiling(g, seed):
+    """Check that CNS from ``seed`` has activated only nodes within 2t hops
+    of it after each round t, and so, if it covers the component, took
+    at least ceil(ecc(seed) / 2) rounds. Returns whether it covered the
+    component in exactly that many, the fewest the ceiling allows."""
+    s = g.index(seed)
+    dist = bfs_oracle(g, s)
+    trace = run_cns(g, seed)
+    active = {s}
+    for t, nodes in enumerate(trace.iterations, start=1):
+        active |= set(nodes.tolist())
+        assert active <= {v for v, d in dist.items() if d <= 2 * t}, (seed, t)
+    if len(active) < len(dist):
+        return False
+    fewest = -(-max(dist.values()) // 2)
+    assert len(trace.iterations) >= fewest, seed
+    return len(trace.iterations) == fewest
+
+
+class TestTwoHopCeiling:
+    """Every reach arc lies in its source's two-hop ball, so by induction
+    the CNS active set after round t lies in the seed's ball of radius
+    2t: IC's active set at p = 1 after round 2t."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cascade_graphs, st.data())
+    def test_hypothesis_graphs(self, g, data):
+        within_two_hop_ceiling(g, g.label(data.draw(st.integers(0, g.node_count - 1))))
+
+    # Seeds from which CNS covers the component in the fewest rounds the
+    # ceiling allows. It never covers karate or lesmis; on the jazz
+    # stand-in the bound is met.
+    MET = {"karate": 0, "lesmis": 0, "jazz": 151}
+
+    @pytest.mark.parametrize("name", sorted(MET))
+    def test_every_seed(self, dataset_tables, name):
+        g = dataset_tables[name][0]
+        assert sum(within_two_hop_ceiling(g, seed) for seed in g.labels) == self.MET[name]
 
 
 class TestRestrictionIdentity:

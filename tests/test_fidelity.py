@@ -129,6 +129,17 @@ def test_report_other_scores(scores):
     assert set(scores) == set(golden.FIG2_ITERATIONS)
 
 
+@pytest.mark.parametrize("dataset", DATASET_NAMES)
+def test_paper_cns_within_two_hop_ceiling(dataset):
+    """Each CNS round reaches at most two hops further, so the paper's CNS
+    coverage after round t is at most its IC (p = 1) coverage after round
+    2t, or after IC's last round."""
+    ic = dict(golden.SERIES[("fig3", dataset, "ic")])
+    assert sorted(ic) == list(range(1, len(ic) + 1))
+    for t, coverage in golden.SERIES[("fig3", dataset, "cns")]:
+        assert coverage <= ic[min(2 * t, len(ic))], t
+
+
 def paper_speed_and_outspread(dataset):
     """The final coverage, the coverage after round 2 and the round count
     of the paper's cns, ic and si on one network, as README table cells."""

@@ -36,8 +36,8 @@ from netdiffuse.graph import (
     serialize_edge_list,
 )
 from netdiffuse.metrics import evaluate_trace
-from netdiffuse.models import ModelParams, run_ic
-from netdiffuse.ties import build_tie_strength_table, dump_tie_table
+from netdiffuse.models import ModelParams, run_cns, run_ic
+from netdiffuse.ties import build_tie_strength_table, dump_tie_table, reach_digraph
 
 from conftest import (
     bfs_oracle, complete_graph, cycle_graph, er_graph, neighbor_sets, path_graph,
@@ -132,15 +132,19 @@ class TestLoading:
         assert karate.edge_count == 78
 
     def test_labels_and_csr_only(self, data_dir):
-        # Loading, components and induced graphs build no label map or bit
-        # rows; those two views, the only ones, appear on first use.
+        # Loading, components and induced graphs build no label map; that
+        # view, the only one, appears on first use. The tie layer packs
+        # its own adjacency rows and leaves nothing on the graph.
         assert [f.name for f in dataclasses.fields(Graph)] == ["labels", "adjacency"]
         g = largest_connected_component(load_edge_list_path(data_dir / "polblogs.txt"))
         induced_subgraph(g, range(0, g.node_count, 2))
         assert not set(vars(g)) - {"labels", "adjacency"}
         g.index(g.label(1))
-        g.bits
-        assert set(vars(g)) == {"labels", "adjacency", "_index_of", "bits"}
+        table = build_tie_strength_table(g)
+        run_cns(g, g.label(0))
+        reach_digraph(g, table.strong)
+        dump_tie_table(table, io.StringIO())
+        assert set(vars(g)) == {"labels", "adjacency", "_index_of"}
 
 
 def as_stream(kind, text):
@@ -472,30 +476,6 @@ class TestInducedAdjacency:
                 induce(members)
 
 
-class TestAdjacencyBits:
-    """Packed rows against ``np.packbits`` of the dense adjacency."""
-
-    @staticmethod
-    def check(g):
-        n = g.node_count
-        dense = np.zeros((n, 64 * -(-n // 64)), dtype=bool)
-        for v, u in g.edges():
-            dense[v, u] = dense[u, v] = True
-        bits = g.bits
-        assert np.array_equal(bits, np.packbits(dense, axis=1, bitorder="little"))
-        assert g.bits is bits
-
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
-    def test_word_boundaries(self, n):
-        edges = [(str(i), str(i + 1)) for i in range(n - 1)] + [("0", str(n - 1))]
-        self.check(graph_from_edges(edges))
-
-    @settings(max_examples=30, deadline=None)
-    @given(random_graphs(max_nodes=70))
-    def test_random_graphs(self, g):
-        self.check(g)
-
-
 def test_imports_load_no_scipy():
     """The package, the CLI and the graph layer start on numpy alone."""
     code = (
@@ -529,9 +509,9 @@ class TestMemoryBudget:
     with one gather of all word rows, 2.72 with a copy of the gathered
     row indices at every level): its gather slice, one word row of
     33,436 words (0.26 MiB), plus the frontier, the unfinished columns'
-    unseen bits and the gather's output. The tie-table dump
-    1.21 MiB on its first call, which builds the digit tables, and 0.83
-    after (4.33 with one ``%`` format per row, 5.44 with 1 MiB slices)."""
+    unseen bits and the gather's output. The tie-table dump 1.21 MiB,
+    with the digit tables it builds on every call (0.83 without them,
+    4.33 with one ``%`` format per row, 5.44 with 1 MiB slices)."""
 
     def test_loader(self, data_dir):
         _, peak = traced_peak_mib(lambda: load_edge_list_path(data_dir / "polblogs.txt"))

@@ -507,6 +507,30 @@ class TestCli:
             "netdiffuse: warning: 2 of 2 runs stopped with nodes unreached\n"
         )
 
+    @pytest.mark.parametrize(
+        "edges, flags",
+        [
+            # No edge of a 4-cycle has a common neighbor or a leaf end,
+            # so there is no strong tie.
+            ("a b\nb c\nc d\nd a\n", ["--model", "cns", "--seed-node", "a"]),
+            (None, ["--model", "ic", "--ic-p", "0", "--runs", "3", "--seed-node", "2"]),
+        ],
+    )
+    def test_runs_without_activations_warn_on_stderr(
+        self, tmp_path, karate_path, capsys, edges, flags
+    ):
+        graph = karate_path
+        if edges is not None:
+            graph = tmp_path / "graph.txt"
+            graph.write_text(edges)
+        code = main(["run", "--graph", str(graph), *flags, "--out", "-"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == ",".join(METRICS_COLUMNS) + "\n"
+        assert captured.err == (
+            "netdiffuse: warning: no run activated any node; the CSV holds only its header\n"
+        )
+
     def test_complete_runs_print_nothing_on_stderr(self, karate_path, capsys):
         code = main(
             ["run", "--graph", karate_path, "--model", "si", "--runs", "2",

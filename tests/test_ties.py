@@ -172,6 +172,32 @@ class TestBreakdown:
             assert edge_terms(table, v, u)[-1] == edge_terms(table, u, v)[-1]
 
 
+class TestAdjacencyBits:
+    """Packed rows against ``np.packbits`` of the dense adjacency, and
+    back through ``_unpack``."""
+
+    @staticmethod
+    def check(g):
+        n = g.node_count
+        dense = np.zeros((n, 64 * -(-n // 64)), dtype=bool)
+        for v, u in g.edges():
+            dense[v, u] = dense[u, v] = True
+        rows = ties._packed_rows(g.adjacency)
+        assert rows.dtype == np.uint8
+        assert np.array_equal(rows, np.packbits(dense, axis=1, bitorder="little"))
+        assert np.array_equal(ties._unpack(rows, n), dense[:, :n])
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_word_boundaries(self, n):
+        edges = [(str(i), str(i + 1)) for i in range(n - 1)] + [("0", str(n - 1))]
+        self.check(graph_from_edges(edges))
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_graphs(max_nodes=70))
+    def test_random_graphs(self, g):
+        self.check(g)
+
+
 def heavy_tailed_graph(n, hub_degrees, rng):
     """Preferential attachment, two links per new node, plus hubs.
 
@@ -292,11 +318,12 @@ class TestBlockKernel:
         assert ties._block_dtype(n - 1, top) == (np.float32 if n <= 257 else np.float64)
 
     def test_polblogs_memory(self):
-        # Measured 3.73 MiB; 3.85 with the degree-224 hub's products
-        # taken whole, 4.66 with that and the int64 ``terms`` filled
-        # beside ``marked``, 5.1 with ``marked`` alive beside rho and phi,
-        # 7.4 with ``marked`` in uint16 and the blocks in float64, 10.4
-        # with ``cn + 1`` held in float32.
+        # Measured 3.44 MiB; 3.73 with the packed rows cached on the
+        # graph beside ``marked``, 3.85 with that and the degree-224 hub's
+        # products taken whole, 4.66 with those and the int64 ``terms``
+        # filled beside ``marked``, 5.1 with ``marked`` alive beside rho
+        # and phi, 7.4 with ``marked`` in uint16 and the blocks in
+        # float64, 10.4 with ``cn + 1`` held in float32.
         g = load_edge_list_path(DATA_DIR / "polblogs.txt")
         _, peak = traced_peak_mib(lambda: build_tie_strength_table(g))
         assert peak < 4.3
