@@ -6,6 +6,8 @@ dataset labels are kept as opaque strings. Input files are read a line
 at a time, and a line ends at ``\\n`` (``numbered_lines``). The label
 map, all a graph caches, is built on first use, never on load. All
 functions here are pure and the graph is safe to share between threads.
+Packed bit rows, the one other form of an adjacency, are built and read
+here only (``packed_rows``, ``unpack_rows``), for the ties and the BFS.
 """
 from __future__ import annotations
 
@@ -29,6 +31,8 @@ from .errors import (
 __all__ = [
     "Adjacency",
     "Graph",
+    "packed_rows",
+    "unpack_rows",
     "load_edge_list",
     "load_edge_list_path",
     "numbered_lines",
@@ -103,6 +107,25 @@ class Adjacency(NamedTuple):
         indptr = np.zeros(len(keep) + 1, dtype=np.int64)
         np.cumsum(np.bincount(sources[inside], minlength=len(keep)), out=indptr[1:])
         return Adjacency(indptr, targets[inside])
+
+
+def packed_rows(adjacency: Adjacency) -> np.ndarray:
+    """The rows of ``adjacency`` as an (n, 8 * ceil(n / 64)) uint8 array:
+    in row v, bit u & 7 of byte u >> 3 is set iff (v, u) is an arc, the
+    order of ``np.packbits(..., bitorder="little")``. Rows fill whole
+    64-bit words, so ``.view(np.uint64)`` gives word-wise rows; setting
+    bytes, not words, keeps each bit's place on any endianness. Nothing
+    caches them: each caller builds its own and drops it."""
+    n, targets = adjacency.node_count, adjacency.indices
+    rows = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
+    bits = (1 << (targets & 7)).astype(np.uint8)
+    np.bitwise_or.at(rows, (adjacency.sources(), targets >> 3), bits)
+    return rows
+
+
+def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
+    """Bit rows of n nodes, packed as ``packed_rows`` packs them, as bool rows."""
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,10 +360,11 @@ def _bfs_levels(adjacency: Adjacency) -> Iterator[tuple[int, np.ndarray]]:
     newly reached. ``frontier`` is a (ceil(n / 64), n) uint64 array:
     column v holds a bitset over sources, and bit s of that column's
     bytes (little bit order) is set iff v is exactly ``level`` hops from
-    s. Level 1 is the adjacency itself; a later level ORs the columns of
-    each node's in-neighbors, one contiguous run per word row
-    (``_gather_or``), so the search is bitwise throughout. The yielded
-    array is the next level's input and must not be changed.
+    s: column v is row v of ``packed_rows`` as words, so level 1 is the
+    packed adjacency, transposed. A later level ORs the columns of each
+    node's in-neighbors, one contiguous run per word row (``_gather_or``),
+    so the search is bitwise throughout. The yielded array is the next
+    level's input and must not be changed.
 
     Column v is finished once it holds every source, or once a level
     reaches no new source of it: a source farther away would have a
@@ -352,14 +376,7 @@ def _bfs_levels(adjacency: Adjacency) -> Iterator[tuple[int, np.ndarray]]:
     n = adjacency.node_count
     if len(indices) == 0:
         return
-    # Source s of column v is bit s & 7 of byte (s >> 3) & 7 of word (s >> 6, v);
-    # setting bytes, not words, keeps that place the same on any endianness.
-    frontier = np.zeros((-(-n // 64), n), dtype=np.uint64)
-    np.bitwise_or.at(
-        frontier.view(np.uint8).reshape(-1),
-        (indices >> 6) * (8 * n) + 8 * adjacency.sources() + ((indices >> 3) & 7),
-        (1 << (indices & 7)).astype(np.uint8),
-    )
+    frontier = np.ascontiguousarray(packed_rows(adjacency).view(np.uint64).T)
     level = 1
     yield level, frontier
     # The unfinished columns, the sources each still misses and, as bits,
@@ -419,9 +436,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     out = np.full((n, n), np.inf)
     np.fill_diagonal(out, 0.0)
     for level, frontier in _bfs_levels(g.adjacency):
-        rows = np.ascontiguousarray(frontier.T).view(np.uint8)
-        bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
-        out[bits.view(bool)] = level
+        out[unpack_rows(np.ascontiguousarray(frontier.T).view(np.uint8), n)] = level
     return out
 
 

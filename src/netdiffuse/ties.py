@@ -19,8 +19,8 @@ of these identities holds the terms of the ordered edge (v, N(v)[i]):
     term_ww     = rowsum(B @ W * B) / 2
 
 (the last two see each connected common-neighbor pair from both ends).
-The common-neighbor count ``cn`` of every edge is a popcount of the AND
-of its ends' packed adjacency rows, taken over bounded slices of edges.
+The common-neighbor count ``cn`` of every edge is a popcount, over
+bounded slices of edges, of the AND of its ends' ``graph.packed_rows``.
 One dense matrix ``marked`` holds ``cn + 1`` on every edge and 0
 elsewhere, so ``B = marked > 0`` and ``W = marked - B`` on any block; its
 extra row and column n belong to a padding node without edges. Its
@@ -60,8 +60,8 @@ adjacent to. The contributors found
 through a connected pair (w, z) of common neighbors lie in N(w), so that
 restriction leaves the pair-overlap term nothing to add, and a bitwise
 OR over the packed rows N(w) of each tie's common neighbors computes it.
-The rows are ORed into packed n-by-n/8 bit rows a slice of strong ties
-at a time, and unpacked into the CSR a block of rows at a time, so no
+The rows are ORed into the reach's packed rows a slice of strong ties at
+a time and unpacked (``unpack_rows``) a block of rows at a time, so no
 (ties x n) unpacking, gather of all N(w) or n-by-n matrix exists whole.
 
 The dump writes a slice of rows at a time. Sorted by label rank, a
@@ -90,8 +90,8 @@ slice of rows of a wide block); the int64 ``terms`` is allocated once
 ``marked`` and the last chunk's blocks are freed, and the block terms
 go before rho, phi and the strong-tie mask are formed; ``run_cns``
 keeps only that mask, so ``terms``, ``phi`` and ``row_max`` go before
-the reach packs its own rows; and the reach fills one index array
-block by block instead of concatenating a list of blocks beside it.
+the reach packs its own rows, dropped after its span loop; and it fills
+one index array block by block, not concatenating a list of blocks.
 """
 from __future__ import annotations
 
@@ -103,7 +103,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .errors import NotAnEdgeError
-from .graph import Adjacency, Graph
+from .graph import Adjacency, Graph, packed_rows, unpack_rows
 
 __all__ = [
     "TieStrengthTable",
@@ -134,24 +134,6 @@ _DUMP_BYTES = 1 << 16  # bytes per row matrix of the tie-table dump
 _PAD = 0xFF  # filler byte of the dump's row matrix: no UTF-8 text holds it
 _PAD_BYTE = bytes([_PAD])
 _PAD_WORD = _PAD * 0x0101_0101  # four filler bytes
-
-
-def _packed_rows(adjacency: Adjacency) -> np.ndarray:
-    """The rows of ``adjacency`` as an (n, 8 * ceil(n / 64)) uint8 array:
-    in row v, bit u & 7 of byte u >> 3 is set iff (v, u) is an arc, the
-    order of ``np.packbits(..., bitorder="little")``. Rows fill whole
-    64-bit words, so ``.view(np.uint64)`` gives word-wise rows for
-    popcounts. Each caller builds its own and drops it before returning."""
-    n, targets = adjacency.node_count, adjacency.indices
-    rows = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
-    bits = (1 << (targets & 7)).astype(np.uint8)
-    np.bitwise_or.at(rows, (adjacency.sources(), targets >> 3), bits)
-    return rows
-
-
-def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    """Packed bit rows of n nodes as bool rows."""
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def _edge_index(adjacency: Adjacency, v: int, u: int) -> int:
@@ -219,10 +201,11 @@ def reach_digraph(g: Graph, strong: np.ndarray) -> Adjacency:
     ``g.adjacency``: row v is what an active v activates.
 
     See the module docstring for the three parts of a row. Built from
-    packed adjacency rows (``_packed_rows``) that live only for this call.
+    packed adjacency rows (``graph.packed_rows``) that live only through
+    its span loop.
     """
     n = g.node_count
-    rows = _packed_rows(g.adjacency)
+    rows = packed_rows(g.adjacency)
     sources = g.adjacency.sources()[strong]
     targets = g.adjacency.indices[strong]
     packed = np.zeros_like(rows)
@@ -233,7 +216,7 @@ def reach_digraph(g: Graph, strong: np.ndarray) -> Adjacency:
         source, target = sources[lo : lo + step], targets[lo : lo + step]
         common = rows[source] & rows[target]
         # The common neighbors w of each strong tie, tie by tie.
-        tie, w = np.divmod(np.flatnonzero(_unpack(common, n)), n)
+        tie, w = np.divmod(np.flatnonzero(unpack_rows(common, n)), n)
         counts = np.bincount(tie, minlength=len(source))
         # reduceat gives an empty segment its start element: skip those ties.
         has = counts > 0
@@ -244,6 +227,7 @@ def reach_digraph(g: Graph, strong: np.ndarray) -> Adjacency:
         span &= rows[source] | rows[target]
         span |= common
         np.bitwise_or.at(packed, source, span)
+    del rows  # read by the span loop only; always bound, unlike its slices
     # Each strong tie and its reverse. A span can hold its own tie's
     # source, as a neighbor of some w: no row keeps its own node.
     for v, u in ((sources, targets), (targets, sources)):
@@ -256,7 +240,7 @@ def reach_digraph(g: Graph, strong: np.ndarray) -> Adjacency:
     indices = np.empty(indptr[-1], dtype=np.int64)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        block = np.flatnonzero(_unpack(packed[lo:hi], n))
+        block = np.flatnonzero(unpack_rows(packed[lo:hi], n))
         np.remainder(block, n, out=indices[indptr[lo] : indptr[hi]])
     return Adjacency(indptr, indices)
 
@@ -346,7 +330,7 @@ def build_tie_strength_table(g: Graph) -> TieStrengthTable:
     """
     indptr, indices = g.adjacency
     sources = g.adjacency.sources()
-    words = _packed_rows(g.adjacency).view(np.uint64)
+    words = packed_rows(g.adjacency).view(np.uint64)
     cn = np.empty(len(indices), dtype=np.int64)
     for lo in range(0, len(indices), _EDGE_SLICE):
         edges = slice(lo, lo + _EDGE_SLICE)

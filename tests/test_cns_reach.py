@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from netdiffuse import models, ties
 from netdiffuse.errors import InactiveNodeError
-from netdiffuse.graph import Adjacency, graph_from_edges, load_edge_list_path
+from netdiffuse.graph import Adjacency, graph_from_edges, load_edge_list_path, packed_rows
 from netdiffuse.harness import DATASET_NAMES
 from netdiffuse.models import cns_activate, run_cns
 from netdiffuse.ties import build_tie_strength_table, contributors, reach_digraph
@@ -174,24 +174,25 @@ class TestReachRows:
             assert_reach_rows_match(g, reach_of(table), SetCascade(g, table))
 
     def test_polblogs_memory(self):
-        # Measured 1.25 MiB with the reach packing its own adjacency rows
-        # (0.19 MiB), 1.06 when it read rows cached on the graph; 1.53
-        # with the index blocks concatenated, 3.1 with the (ties x n)
-        # unpacking, the gather of every common neighbor's row and the
-        # n-by-n rows built whole (those two with cached rows).
+        # Measured 1.06 MiB with the reach packing its own adjacency rows
+        # (0.19 MiB) and dropping them after the span loop, 1.25 when they
+        # lived until the return, 1.06 when it read rows cached on the
+        # graph; 1.53 with the index blocks concatenated, 3.1 with the
+        # (ties x n) unpacking, the gather of every common neighbor's row
+        # and the n-by-n rows built whole (those two with cached rows).
         g = load_edge_list_path(DATA_DIR / "polblogs.txt")
         table = build_tie_strength_table(g)
         reach, peak = traced_peak_mib(lambda: reach_of(table))
         assert peak < 1.8
-        # Each block of rows fills its stretch of the indices in place, so
-        # beyond the CSR and its two packed matrices, the adjacency rows
-        # and the reach's own, only one block's unpacking is alive:
-        # measured 0.22 MiB over, as before with the rows cached on the
-        # graph. Concatenating a list of blocks held them all beside the
-        # result, more than the indices' own bytes (0.69 MiB over, with
-        # 0.65 MiB of indices).
-        packed = ties._packed_rows(g.adjacency).nbytes
-        own = reach.indptr.nbytes + reach.indices.nbytes + 2 * packed
+        # Each block of rows fills its stretch of the indices in place, and
+        # the adjacency rows go before the CSR, so beyond the CSR and the
+        # reach's own packed rows only one block's unpacking is alive:
+        # measured 0.22 MiB over, 0.40 with the adjacency rows alive too.
+        # Concatenating a list of blocks held them all beside the result,
+        # more than the indices' own bytes (0.69 MiB over, with 0.65 MiB
+        # of indices).
+        packed = packed_rows(g.adjacency).nbytes
+        own = reach.indptr.nbytes + reach.indices.nbytes + packed
         assert peak - own / 2**20 < reach.indices.nbytes / 2**20 / 2
 
     def test_run_cns_frees_scores_before_reach(self, karate):

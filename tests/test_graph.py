@@ -33,7 +33,9 @@ from netdiffuse.graph import (
     largest_connected_component,
     load_edge_list,
     load_edge_list_path,
+    packed_rows,
     serialize_edge_list,
+    unpack_rows,
 )
 from netdiffuse.metrics import evaluate_trace
 from netdiffuse.models import ModelParams, run_cns, run_ic
@@ -505,13 +507,16 @@ class TestMemoryBudget:
     """Peak traced memory of the polblogs graph kernels. Measured: the
     loader 1.18 MiB (1.42 with the whole text read and cut a slice at a
     time, 1.7 with a list of every line, 4.6 with a list of every token),
-    the whole-graph BFS 0.95 MiB (2.47 with 2 MiB gather slices, 5.9
-    with one gather of all word rows, 2.72 with a copy of the gathered
-    row indices at every level): its gather slice, one word row of
-    33,436 words (0.26 MiB), plus the frontier, the unfinished columns'
-    unseen bits and the gather's output. The tie-table dump 1.21 MiB,
-    with the digit tables it builds on every call (0.83 without them,
-    4.33 with one ``%`` format per row, 5.44 with 1 MiB slices)."""
+    the whole-graph BFS 0.89 MiB, its level 1 built by ``packed_rows``
+    (0.95 with its own level-1 index expression, which held three int64
+    temporaries of arc length at once where ``packed_rows`` holds two;
+    2.47 with 2 MiB gather slices, 5.9 with one gather of all word rows,
+    2.72 with a copy of the gathered row indices at every level): its
+    gather slice, one word row of 33,436 words (0.26 MiB), plus the
+    frontier, the unfinished columns' unseen bits and the gather's
+    output. The tie-table dump 1.21 MiB, with the digit tables it builds
+    on every call (0.83 without them, 4.33 with one ``%`` format per
+    row, 5.44 with 1 MiB slices)."""
 
     def test_loader(self, data_dir):
         _, peak = traced_peak_mib(lambda: load_edge_list_path(data_dir / "polblogs.txt"))
@@ -649,6 +654,63 @@ def digraphs(draw, max_nodes: int = 140):
     return n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
 
 
+def in_rows(n, arcs):
+    """The adjacency whose row v lists the tails u of the arcs u -> v."""
+    keys = np.array(sorted(v * n + u for u, v in arcs), dtype=np.int64)
+    return Adjacency.from_keys(keys, n)
+
+
+def ring(n):
+    """A cycle on n nodes (one node alone for n = 1): its rows end on and
+    just past 64-bit word boundaries."""
+    return graph_from_edges([(str(i), str(i + 1)) for i in range(n - 1)] + [("0", str(n - 1))])
+
+
+class TestAdjacencyBits:
+    """``packed_rows`` against ``np.packbits`` of the dense adjacency, and
+    back through ``unpack_rows``; the all-sources BFS's first frontier is
+    the same rows as words, transposed."""
+
+    @staticmethod
+    def check(g):
+        n = g.node_count
+        dense = np.zeros((n, 64 * -(-n // 64)), dtype=bool)
+        for v, u in g.edges():
+            dense[v, u] = dense[u, v] = True
+        rows = packed_rows(g.adjacency)
+        assert rows.dtype == np.uint8
+        assert np.array_equal(rows, np.packbits(dense, axis=1, bitorder="little"))
+        assert np.array_equal(unpack_rows(rows, n), dense[:, :n])
+
+    @staticmethod
+    def check_first_frontier(adjacency):
+        first = next(graph_module._bfs_levels(adjacency), None)
+        if len(adjacency.indices) == 0:
+            assert first is None
+            return
+        level, frontier = first
+        assert level == 1 and frontier.dtype == np.uint64
+        assert np.array_equal(frontier, packed_rows(adjacency).view(np.uint64).T)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_word_boundaries(self, n):
+        self.check(ring(n))
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_graphs(max_nodes=70))
+    def test_random_graphs(self, g):
+        self.check(g)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_first_frontier_word_boundaries(self, n):
+        self.check_first_frontier(ring(n).adjacency)
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs())
+    def test_first_frontier_digraphs(self, digraph):
+        self.check_first_frontier(in_rows(*digraph))
+
+
 class TestDirectedRows:
     """``_bfs_levels`` on in-neighbor rows of a digraph, level by level,
     against a queue BFS along the arcs from each source."""
@@ -657,9 +719,7 @@ class TestDirectedRows:
     @given(digraphs())
     def test_levels_match_queue_bfs(self, digraph):
         n, arcs = digraph
-        # Row v lists the tails u of the arcs u -> v.
-        keys = np.array(sorted(v * n + u for u, v in arcs), dtype=np.int64)
-        adjacency = Adjacency.from_keys(keys, n)
+        adjacency = in_rows(n, arcs)
         out = [[] for _ in range(n)]
         for u, v in arcs:
             out[u].append(v)
@@ -678,8 +738,7 @@ class TestDirectedRows:
                     want.setdefault(d, set()).add((s, v))
         got = {}
         for level, frontier in graph_module._bfs_levels(adjacency):
-            columns = np.ascontiguousarray(frontier.T).view(np.uint8)
-            bits = np.unpackbits(columns, axis=1, count=n, bitorder="little")
+            bits = unpack_rows(np.ascontiguousarray(frontier.T).view(np.uint8), n)
             got[level] = {(int(s), int(v)) for v, s in zip(*np.nonzero(bits))}
         assert got == want
 

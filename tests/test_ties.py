@@ -172,32 +172,6 @@ class TestBreakdown:
             assert edge_terms(table, v, u)[-1] == edge_terms(table, u, v)[-1]
 
 
-class TestAdjacencyBits:
-    """Packed rows against ``np.packbits`` of the dense adjacency, and
-    back through ``_unpack``."""
-
-    @staticmethod
-    def check(g):
-        n = g.node_count
-        dense = np.zeros((n, 64 * -(-n // 64)), dtype=bool)
-        for v, u in g.edges():
-            dense[v, u] = dense[u, v] = True
-        rows = ties._packed_rows(g.adjacency)
-        assert rows.dtype == np.uint8
-        assert np.array_equal(rows, np.packbits(dense, axis=1, bitorder="little"))
-        assert np.array_equal(ties._unpack(rows, n), dense[:, :n])
-
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
-    def test_word_boundaries(self, n):
-        edges = [(str(i), str(i + 1)) for i in range(n - 1)] + [("0", str(n - 1))]
-        self.check(graph_from_edges(edges))
-
-    @settings(max_examples=30, deadline=None)
-    @given(random_graphs(max_nodes=70))
-    def test_random_graphs(self, g):
-        self.check(g)
-
-
 def heavy_tailed_graph(n, hub_degrees, rng):
     """Preferential attachment, two links per new node, plus hubs.
 
